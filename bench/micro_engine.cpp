@@ -1,9 +1,10 @@
 // Microbenchmarks (google-benchmark) for the simulation substrate:
 // event-queue throughput, scheduler iteration cost, protocol round-trips,
-// and a full coupled-month simulation.
+// the journal's CRC-32 and compaction, and a full coupled-month simulation.
 #include <benchmark/benchmark.h>
 
 #include "core/coupled_sim.h"
+#include "core/journal.h"
 #include "proto/peer.h"
 #include "sched/scheduler.h"
 #include "sim/engine.h"
@@ -205,6 +206,43 @@ void BM_MessageEncodeDecode(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_MessageEncodeDecode);
+
+std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::uint8_t> out(n);
+  for (std::uint8_t& b : out)
+    b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+  return out;
+}
+
+void BM_Crc32(benchmark::State& state) {
+  const auto data = random_bytes(static_cast<std::size_t>(state.range(0)), 7);
+  for (auto _ : state) benchmark::DoNotOptimize(crc32(data));
+  state.SetBytesProcessed(state.range(0) * state.iterations());
+}
+BENCHMARK(BM_Crc32)->Arg(64)->Arg(4096)->Arg(524288);
+
+// One periodic compaction as a journaled chaos month runs it: the image
+// holds the previous ~400 KB snapshot and 2,000 records of ~28 payload
+// bytes, and compact() retains them behind a new ~400 KB snapshot.
+void BM_JournalCompact(benchmark::State& state) {
+  const auto snapshot = random_bytes(400 * 1024, 11);
+  const auto record = random_bytes(28, 13);
+  Journal j(std::make_unique<MemoryJournalSink>());
+  for (auto _ : state) {
+    state.PauseTiming();
+    // Restart from a one-snapshot image so every iteration compacts the
+    // same amount of retained history.
+    j.compact(snapshot, /*retain_previous=*/false);
+    for (int i = 0; i < 2000; ++i)
+      j.append(JournalRecordKind::kSubmit, record);
+    j.commit();
+    state.ResumeTiming();
+    j.compact(snapshot);
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_JournalCompact)->Unit(benchmark::kMicrosecond);
 
 void BM_CoupledMonth(benchmark::State& state) {
   // A ~1/8-scale coupled month with 10% pairing, hold-yield.

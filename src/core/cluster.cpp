@@ -1238,13 +1238,14 @@ void Cluster::write_snapshot(WireWriter& w) const {
   // All containers go out in a canonical (sorted) order so two snapshots of
   // equal state are byte-identical.
   {
-    std::vector<JobId> ids;
-    ids.reserve(expected_.size());
-    // cosched-lint: ordered(ids are sorted before encoding)
-    for (const auto& [id, spec] : expected_) ids.push_back(id);
-    std::sort(ids.begin(), ids.end());
-    w.put_u64(ids.size());
-    for (JobId id : ids) encode_job_spec(w, expected_.at(id));
+    std::vector<std::pair<JobId, const JobSpec*>> rows;
+    rows.reserve(expected_.size());
+    // cosched-lint: ordered(rows are sorted by id before encoding)
+    for (const auto& [id, spec] : expected_) rows.emplace_back(id, &spec);
+    std::sort(rows.begin(), rows.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    w.put_u64(rows.size());
+    for (const auto& row : rows) encode_job_spec(w, *row.second);
   }
   {
     // cosched-lint: ordered(pairs are sorted before encoding)

@@ -14,16 +14,24 @@ namespace cosched {
 
 namespace {
 
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+/// Slice-by-8 tables for the reflected IEEE polynomial: kCrcTables[0] is the
+/// classic byte table, kCrcTables[k][b] the CRC of byte b followed by k zero
+/// bytes, so eight table lookups advance the CRC over eight input bytes.
+constexpr std::array<std::array<std::uint32_t, 256>, 8> make_crc_tables() {
+  std::array<std::array<std::uint32_t, 256>, 8> t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k)
       c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < 8; ++k)
+    for (std::size_t i = 0; i < 256; ++i)
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xffu];
+  return t;
 }
+
+constexpr auto kCrcTables = make_crc_tables();
 
 void put_le32(std::vector<std::uint8_t>& out, std::uint32_t v) {
   out.push_back(static_cast<std::uint8_t>(v));
@@ -49,19 +57,85 @@ std::uint64_t get_le64(const std::uint8_t* p) {
          static_cast<std::uint64_t>(get_le32(p + 4)) << 32;
 }
 
+void store_le32(std::uint8_t* p, std::uint32_t v) {
+  p[0] = static_cast<std::uint8_t>(v);
+  p[1] = static_cast<std::uint8_t>(v >> 8);
+  p[2] = static_cast<std::uint8_t>(v >> 16);
+  p[3] = static_cast<std::uint8_t>(v >> 24);
+}
+
+/// Bytes of the wire varint encoding of `v` (WireWriter::put_u64).
+std::size_t varint_size(std::uint64_t v) {
+  std::size_t n = 1;
+  for (; v >= 0x80; v >>= 7) ++n;
+  return n;
+}
+
+constexpr std::size_t kV2HeaderBytes = 16;
+/// Snapshot envelope header: u64 generation ++ u32 crc32(state).
+constexpr std::size_t kSnapshotEnvelopeBytes = 12;
+
+/// Starts a v2 frame at the end of `out`: a header placeholder, then the
+/// body prefix (seq as the wire varint WireWriter::put_u64 writes, then
+/// kind).  The caller appends the payload and calls end_frame().  Returns
+/// the frame's offset in `out`.
+std::size_t begin_frame(std::vector<std::uint8_t>& out, std::uint64_t seq,
+                        JournalRecordKind kind) {
+  const std::size_t start = out.size();
+  out.resize(start + kV2HeaderBytes);
+  for (; seq >= 0x80; seq >>= 7)
+    out.push_back(static_cast<std::uint8_t>(seq) | 0x80);
+  out.push_back(static_cast<std::uint8_t>(seq));
+  out.push_back(static_cast<std::uint8_t>(kind));
+  return start;
+}
+
+/// Fills in the header of the frame begun at `start`, whose body runs to
+/// the end of `out`.
+void end_frame(std::vector<std::uint8_t>& out, std::size_t start) {
+  std::uint8_t* header = out.data() + start;
+  const std::span<const std::uint8_t> body(header + kV2HeaderBytes,
+                                           out.size() - start - kV2HeaderBytes);
+  store_le32(header, kJournalMagicV2);
+  store_le32(header + 4, static_cast<std::uint32_t>(body.size()));
+  store_le32(header + 8, crc32(body));
+  store_le32(header + 12, crc32(std::span<const std::uint8_t>(header, 12)));
+}
+
+/// Appends the snapshot envelope (generation, state CRC, state) to `out`.
+void put_snapshot_payload(std::vector<std::uint8_t>& out,
+                          std::uint64_t generation,
+                          std::span<const std::uint8_t> state) {
+  put_le64(out, generation);
+  put_le32(out, crc32(state));
+  out.insert(out.end(), state.begin(), state.end());
+}
+
 /// Outcome of decoding one frame at a fixed offset.  kTruncated means the
 /// frame runs past the end of the buffer (a crash artifact when nothing
 /// intact follows); kBad means the bytes are there but wrong (rot).
 enum class FrameStatus { kOk, kTruncated, kBad };
 
-struct ParsedFrame {
-  JournalRecord rec;
-  std::size_t size = 0;  ///< total frame bytes (header + body)
+/// One intact frame, decoded in place: `payload` aliases the scanned image.
+struct FrameView {
+  std::uint64_t seq = 0;
+  JournalRecordKind kind = JournalRecordKind::kSnapshot;
+  std::uint8_t version = 2;
+  /// The frame is byte for byte what encode_frame() writes for it (v2 with
+  /// a minimal seq varint), so copying it equals re-encoding it.
+  bool canonical = false;
+  std::size_t offset = 0;  ///< first byte of the frame in the image
+  std::size_t size = 0;    ///< total frame bytes (header + body)
+  std::span<const std::uint8_t> payload;
   const char* error = "";
+
+  JournalRecord record() const {
+    return {seq, kind, {payload.begin(), payload.end()}, version};
+  }
 };
 
 FrameStatus parse_frame_at(std::span<const std::uint8_t> bytes,
-                           std::size_t pos, ParsedFrame& out) {
+                           std::size_t pos, FrameView& out) {
   const std::size_t n = bytes.size();
   if (n - pos < 4) {
     out.error = "truncated header";
@@ -73,7 +147,7 @@ FrameStatus parse_frame_at(std::span<const std::uint8_t> bytes,
   std::uint32_t body_crc = 0;
   std::uint8_t version = 1;
   if (first == kJournalMagicV2) {
-    if (n - pos < 16) {
+    if (n - pos < kV2HeaderBytes) {
       out.error = "truncated v2 header";
       return FrameStatus::kTruncated;
     }
@@ -85,7 +159,7 @@ FrameStatus parse_frame_at(std::span<const std::uint8_t> bytes,
       out.error = "rotten v2 header";
       return FrameStatus::kBad;
     }
-    header = 16;
+    header = kV2HeaderBytes;
     version = 2;
   } else {
     if (n - pos < 8) {
@@ -109,17 +183,20 @@ FrameStatus parse_frame_at(std::span<const std::uint8_t> bytes,
   }
   try {
     WireReader r(body);
-    out.rec.seq = r.get_u64();
+    out.seq = r.get_u64();
     const std::uint8_t k = r.get_u8();
     if (k > static_cast<std::uint8_t>(JournalRecordKind::kGangVictim))
       throw ParseError("journal: unknown record kind");
-    out.rec.kind = static_cast<JournalRecordKind>(k);
-    out.rec.payload.assign(body.begin() + (len - r.remaining()), body.end());
+    out.kind = static_cast<JournalRecordKind>(k);
+    const std::size_t prefix = len - r.remaining();
+    out.payload = body.subspan(prefix);
+    out.canonical = version == 2 && prefix == varint_size(out.seq) + 1;
   } catch (const ParseError&) {
     out.error = "unparseable record";
     return FrameStatus::kBad;
   }
-  out.rec.version = version;
+  out.version = version;
+  out.offset = pos;
   out.size = header + len;
   return FrameStatus::kOk;
 }
@@ -132,21 +209,67 @@ std::size_t resync_to_magic(std::span<const std::uint8_t> bytes,
   constexpr std::uint8_t first_byte =
       static_cast<std::uint8_t>(kJournalMagicV2 & 0xffu);
   const std::size_t n = bytes.size();
-  for (std::size_t p = from; p + 16 <= n; ++p) {
+  for (std::size_t p = from; p + kV2HeaderBytes <= n; ++p) {
     if (bytes[p] != first_byte) continue;
     if (get_le32(bytes.data() + p) != kJournalMagicV2) continue;
-    ParsedFrame pf;
-    if (parse_frame_at(bytes, p, pf) == FrameStatus::kOk) return p;
+    FrameView f;
+    if (parse_frame_at(bytes, p, f) == FrameStatus::kOk) return p;
   }
   return static_cast<std::size_t>(-1);
+}
+
+/// The one frame walker under salvage_scan() and Journal::compact(): calls
+/// `on_frame(const FrameView&)` for every intact frame in stream order,
+/// resyncing on the v2 magic past a bad region, and attributes every
+/// unreadable byte to `out`'s corrupt regions or its torn tail.  Copies no
+/// payload.
+template <typename OnFrame>
+void walk_frames(std::span<const std::uint8_t> bytes, SalvageReport& out,
+                 OnFrame&& on_frame) {
+  out.bytes_scanned = bytes.size();
+  std::size_t pos = 0;
+  while (pos < bytes.size()) {
+    FrameView f;
+    const FrameStatus st = parse_frame_at(bytes, pos, f);
+    if (st == FrameStatus::kOk) {
+      on_frame(f);
+      pos += f.size;
+      continue;
+    }
+    const std::size_t next = resync_to_magic(bytes, pos + 1);
+    if (next == static_cast<std::size_t>(-1)) {
+      // Nothing intact follows.  A frame that simply ran off the end of the
+      // buffer is a torn tail (normal crash artifact); bytes that are
+      // present but wrong are trailing rot.
+      if (st == FrameStatus::kTruncated) {
+        out.tail_torn = true;
+      } else {
+        out.corrupt_regions.push_back({pos, bytes.size() - pos, f.error});
+        out.bytes_skipped += bytes.size() - pos;
+      }
+      break;
+    }
+    out.corrupt_regions.push_back({pos, next - pos, f.error});
+    out.bytes_skipped += next - pos;
+    pos = next;
+  }
 }
 
 }  // namespace
 
 std::uint32_t crc32(std::span<const std::uint8_t> data) {
-  static const std::array<std::uint32_t, 256> table = make_crc_table();
+  const auto& t = kCrcTables;
+  const std::uint8_t* p = data.data();
+  std::size_t n = data.size();
   std::uint32_t c = 0xffffffffu;
-  for (std::uint8_t b : data) c = table[(c ^ b) & 0xffu] ^ (c >> 8);
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = get_le32(p) ^ c;
+    const std::uint32_t hi = get_le32(p + 4);
+    c = t[7][lo & 0xffu] ^ t[6][(lo >> 8) & 0xffu] ^
+        t[5][(lo >> 16) & 0xffu] ^ t[4][lo >> 24] ^ t[3][hi & 0xffu] ^
+        t[2][(hi >> 8) & 0xffu] ^ t[1][(hi >> 16) & 0xffu] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) c = t[0][(c ^ *p) & 0xffu] ^ (c >> 8);
   return c ^ 0xffffffffu;
 }
 
@@ -187,29 +310,19 @@ const char* to_string(JournalRecordKind k) {
 std::vector<std::uint8_t> encode_frame(std::uint64_t seq,
                                        JournalRecordKind kind,
                                        std::span<const std::uint8_t> payload) {
-  WireWriter pw;
-  pw.put_u64(seq);
-  pw.put_u8(static_cast<std::uint8_t>(kind));
-  std::vector<std::uint8_t> body = pw.take();
-  body.insert(body.end(), payload.begin(), payload.end());
-
   std::vector<std::uint8_t> out;
-  out.reserve(body.size() + 16);
-  put_le32(out, kJournalMagicV2);
-  put_le32(out, static_cast<std::uint32_t>(body.size()));
-  put_le32(out, crc32(body));
-  put_le32(out, crc32(std::span<const std::uint8_t>(out.data(), 12)));
-  out.insert(out.end(), body.begin(), body.end());
+  out.reserve(kV2HeaderBytes + varint_size(seq) + 1 + payload.size());
+  const std::size_t start = begin_frame(out, seq, kind);
+  out.insert(out.end(), payload.begin(), payload.end());
+  end_frame(out, start);
   return out;
 }
 
 std::vector<std::uint8_t> make_snapshot_payload(
     std::uint64_t generation, std::span<const std::uint8_t> state) {
   std::vector<std::uint8_t> out;
-  out.reserve(state.size() + 12);
-  put_le64(out, generation);
-  put_le32(out, crc32(state));
-  out.insert(out.end(), state.begin(), state.end());
+  out.reserve(kSnapshotEnvelopeBytes + state.size());
+  put_snapshot_payload(out, generation, state);
   return out;
 }
 
@@ -220,14 +333,14 @@ SnapshotView parse_snapshot_payload(const JournalRecord& rec) {
     v.state = std::span<const std::uint8_t>(rec.payload);
     return v;
   }
-  if (rec.payload.size() < 12) {
+  if (rec.payload.size() < kSnapshotEnvelopeBytes) {
     v.checksum_ok = false;
     return v;
   }
   v.generation = get_le64(rec.payload.data());
   const std::uint32_t want = get_le32(rec.payload.data() + 8);
-  v.state = std::span<const std::uint8_t>(rec.payload.data() + 12,
-                                          rec.payload.size() - 12);
+  v.state = std::span<const std::uint8_t>(rec.payload).subspan(
+      kSnapshotEnvelopeBytes);
   v.checksum_ok = crc32(v.state) == want;
   return v;
 }
@@ -351,17 +464,11 @@ Journal::Journal(std::unique_ptr<JournalSink> sink) : sink_(std::move(sink)) {
   COSCHED_CHECK(sink_ != nullptr);
 }
 
-std::vector<std::uint8_t> Journal::frame(
-    std::uint64_t seq, JournalRecordKind kind,
-    std::span<const std::uint8_t> payload) {
-  return encode_frame(seq, kind, payload);
-}
-
 std::uint64_t Journal::append(JournalRecordKind kind,
                               std::span<const std::uint8_t> payload) {
   const std::uint64_t seq = next_seq_++;
   try {
-    sink_->append(frame(seq, kind, payload));
+    sink_->append(encode_frame(seq, kind, payload));
   } catch (const JournalNoSpace&) {
     // Swallow here, surface at the commit boundary: an append sits in the
     // middle of a mutation path, and tearing that apart would leave live
@@ -420,33 +527,51 @@ void Journal::reopen() {
 
 void Journal::compact(std::span<const std::uint8_t> snapshot_payload,
                       bool retain_previous) {
-  std::vector<std::uint8_t> image;
+  // Keep the previous snapshot and every intact frame after it as the
+  // fallback generation.  Copying a verified canonical frame writes exactly
+  // what re-encoding it would.  A v1 snapshot's payload is the raw state;
+  // once its frame says v2, readers expect the generation envelope, so wrap
+  // it (generation 0 = pre-generation legacy).
+  std::vector<std::uint8_t> old;
+  std::vector<FrameView> retained;
   if (retain_previous) {
-    const SalvageReport rep = salvage_scan(sink_->contents());
-    std::size_t snap_idx = rep.records.size();
-    for (std::size_t i = 0; i < rep.records.size(); ++i)
-      if (rep.records[i].kind == JournalRecordKind::kSnapshot) snap_idx = i;
-    // Keep the previous snapshot and everything intact after it as the
-    // fallback generation.  Re-framing scrubs any rot that crept in (the
-    // records are re-encoded from their decoded, CRC-verified form) and
-    // upgrades v1 frames to v2 as a side effect.  A v1 snapshot's payload is
-    // the raw state; once its frame says v2, readers expect the generation
-    // envelope, so wrap it (generation 0 = pre-generation legacy).
-    for (std::size_t i = snap_idx; i < rep.records.size(); ++i) {
-      const JournalRecord& rec = rep.records[i];
-      const auto f =
-          rec.version < 2 && rec.kind == JournalRecordKind::kSnapshot
-              ? encode_frame(rec.seq, rec.kind,
-                             make_snapshot_payload(0, rec.payload))
-              : encode_frame(rec.seq, rec.kind, rec.payload);
-      image.insert(image.end(), f.begin(), f.end());
+    old = sink_->contents();
+    bool have_snapshot = false;
+    SalvageReport scan;
+    walk_frames(old, scan, [&](const FrameView& f) {
+      if (f.kind == JournalRecordKind::kSnapshot) {
+        retained.clear();
+        have_snapshot = true;
+      }
+      if (have_snapshot) retained.push_back(f);
+    });
+  }
+  std::size_t image_bytes = kV2HeaderBytes + varint_size(next_seq_) + 1 +
+                            kSnapshotEnvelopeBytes + snapshot_payload.size();
+  if (!retained.empty())
+    image_bytes += retained.back().offset + retained.back().size -
+                   retained.front().offset;
+  std::vector<std::uint8_t> image;
+  image.reserve(image_bytes);
+  for (const FrameView& f : retained) {
+    if (f.canonical) {
+      const auto from = old.begin() + static_cast<std::ptrdiff_t>(f.offset);
+      image.insert(image.end(), from,
+                   from + static_cast<std::ptrdiff_t>(f.size));
+      continue;
     }
+    const std::size_t start = begin_frame(image, f.seq, f.kind);
+    if (f.version < 2 && f.kind == JournalRecordKind::kSnapshot)
+      put_snapshot_payload(image, 0, f.payload);
+    else
+      image.insert(image.end(), f.payload.begin(), f.payload.end());
+    end_frame(image, start);
   }
   const std::uint64_t seq = next_seq_++;
-  const auto wrapped =
-      make_snapshot_payload(++snapshot_generation_, snapshot_payload);
-  const auto f = encode_frame(seq, JournalRecordKind::kSnapshot, wrapped);
-  image.insert(image.end(), f.begin(), f.end());
+  const std::size_t start =
+      begin_frame(image, seq, JournalRecordKind::kSnapshot);
+  put_snapshot_payload(image, ++snapshot_generation_, snapshot_payload);
+  end_frame(image, start);
   sink_->reset(std::move(image));
   last_appended_seq_ = seq;
   last_committed_seq_ = seq;
@@ -473,13 +598,13 @@ JournalReplay read_journal(std::span<const std::uint8_t> bytes) {
   JournalReplay out;
   std::size_t pos = 0;
   while (pos < bytes.size()) {
-    ParsedFrame pf;
-    if (parse_frame_at(bytes, pos, pf) != FrameStatus::kOk) {
+    FrameView f;
+    if (parse_frame_at(bytes, pos, f) != FrameStatus::kOk) {
       out.tail_torn = true;  // strict torn-tail rule: stop at the first flaw
       break;
     }
-    out.records.push_back(std::move(pf.rec));
-    pos += pf.size;
+    out.records.push_back(f.record());
+    pos += f.size;
     out.bytes_scanned = pos;
   }
   return out;
@@ -487,34 +612,9 @@ JournalReplay read_journal(std::span<const std::uint8_t> bytes) {
 
 SalvageReport salvage_scan(std::span<const std::uint8_t> bytes) {
   SalvageReport out;
-  out.bytes_scanned = bytes.size();
-  std::size_t pos = 0;
-  while (pos < bytes.size()) {
-    ParsedFrame pf;
-    const FrameStatus st = parse_frame_at(bytes, pos, pf);
-    if (st == FrameStatus::kOk) {
-      out.records.push_back(std::move(pf.rec));
-      pos += pf.size;
-      continue;
-    }
-    const std::size_t next = resync_to_magic(bytes, pos + 1);
-    if (next == static_cast<std::size_t>(-1)) {
-      // Nothing intact follows.  A frame that simply ran off the end of the
-      // buffer is a torn tail (normal crash artifact); bytes that are
-      // present but wrong are trailing rot.
-      if (st == FrameStatus::kTruncated) {
-        out.tail_torn = true;
-      } else {
-        out.corrupt_regions.push_back(
-            {pos, bytes.size() - pos, pf.error});
-        out.bytes_skipped += bytes.size() - pos;
-      }
-      break;
-    }
-    out.corrupt_regions.push_back({pos, next - pos, pf.error});
-    out.bytes_skipped += next - pos;
-    pos = next;
-  }
+  walk_frames(bytes, out, [&out](const FrameView& f) {
+    out.records.push_back(f.record());
+  });
   for (std::size_t i = 1; i < out.records.size(); ++i) {
     const std::uint64_t prev = out.records[i - 1].seq;
     const std::uint64_t cur = out.records[i].seq;

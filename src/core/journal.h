@@ -50,7 +50,9 @@
 
 namespace cosched {
 
-/// CRC-32 (IEEE 802.3 polynomial, reflected) of a byte span.
+/// CRC-32 (IEEE 802.3 polynomial, reflected) of a byte span.  Computed
+/// slice-by-8 (eight bytes per step); the values are those of the classic
+/// byte-at-a-time table, so every frame and envelope on disk is unchanged.
 std::uint32_t crc32(std::span<const std::uint8_t> data);
 
 /// v2 frame magic ("JLF2" on disk, read as a little-endian u32).
@@ -115,7 +117,8 @@ struct JournalRecord {
   std::uint8_t version = 2;
 };
 
-/// Encodes one v2 frame (magic + header CRC) around seq/kind/payload.
+/// Encodes one v2 frame (magic + header CRC) around seq/kind/payload, in a
+/// single buffer.
 std::vector<std::uint8_t> encode_frame(std::uint64_t seq,
                                        JournalRecordKind kind,
                                        std::span<const std::uint8_t> payload);
@@ -232,11 +235,16 @@ class Journal {
   /// Compaction: rewrites the journal around a fresh generation-numbered,
   /// checksummed snapshot.  With `retain_previous` (the default) the new
   /// image keeps the previous snapshot and every intact record after it —
-  /// the fallback generation — followed by the new snapshot; re-framing the
-  /// retained records also scrubs any rot that crept in between them.
-  /// With retain_previous = false the image collapses to the single new
-  /// snapshot frame (initial attach, emergency ENOSPC compaction).
-  /// Durable on return.  Sequence numbers keep counting.
+  /// the fallback generation — followed by the new snapshot.  One salvage
+  /// walk over the old image checks every frame's CRCs without copying
+  /// payloads; frames that fail are dropped, which scrubs any rot that crept
+  /// in between the kept ones.  A verified v2 frame in encode_frame()'s
+  /// form is copied verbatim; v1 frames (and v2 frames with a padded seq
+  /// varint) are re-framed as v2, a v1 snapshot wrapped as generation 0.
+  /// Either way the bytes equal a decode-and-re-encode of the retained
+  /// records.  With retain_previous = false the image collapses to the
+  /// single new snapshot frame (initial attach, emergency ENOSPC
+  /// compaction).  Durable on return.  Sequence numbers keep counting.
   void compact(std::span<const std::uint8_t> snapshot_payload,
                bool retain_previous = true);
 
@@ -272,10 +280,6 @@ class Journal {
   const JournalSink& sink() const { return *sink_; }
 
  private:
-  static std::vector<std::uint8_t> frame(std::uint64_t seq,
-                                         JournalRecordKind kind,
-                                         std::span<const std::uint8_t> payload);
-
   std::unique_ptr<JournalSink> sink_;
   std::function<void(std::uint64_t)> on_commit_;
   std::uint64_t next_seq_ = 1;

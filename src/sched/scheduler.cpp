@@ -409,14 +409,16 @@ void Scheduler::snapshot(WireWriter& w) const {
 
   const auto write_jobs =
       [&w](const std::unordered_map<JobId, RuntimeJob>& table) {
-        std::vector<JobId> ids;
-        ids.reserve(table.size());
-        // cosched-lint: ordered(ids are sorted before encoding)
-        for (const auto& [id, job] : table) ids.push_back(id);
-        std::sort(ids.begin(), ids.end());
-        w.put_u64(ids.size());
-        for (JobId id : ids) {
-          const RuntimeJob& j = table.at(id);
+        std::vector<std::pair<JobId, const RuntimeJob*>> rows;
+        rows.reserve(table.size());
+        // cosched-lint: ordered(rows are sorted by id before encoding)
+        for (const auto& [id, job] : table) rows.emplace_back(id, &job);
+        std::sort(rows.begin(), rows.end(), [](const auto& a, const auto& b) {
+          return a.first < b.first;
+        });
+        w.put_u64(rows.size());
+        for (const auto& row : rows) {
+          const RuntimeJob& j = *row.second;
           encode_job_spec(w, j.spec);
           w.put_u8(static_cast<std::uint8_t>(j.state));
           w.put_i64(j.start);

@@ -29,7 +29,7 @@ std::string site(const ProjectIndex& ix, int file, int line) {
 
 // -- rule: journal-coverage --------------------------------------------------
 //
-// Every JournalRecordKind enumerator must have (a) an append()/frame()
+// Every JournalRecordKind enumerator must have (a) an append()/begin_frame()
 // writer site, (b) a replay case in apply_record/recover_from_journal,
 // (c) a to_string name-table entry.  Additionally, any member a replay arm
 // mutates must appear in write_snapshot AND apply_snapshot — otherwise the
@@ -41,8 +41,9 @@ std::string site(const ProjectIndex& ix, int file, int line) {
 
 void rule_journal_coverage_impl(const ProjectIndex& ix, RuleSink& sink) {
   // Writer sites: `JournalRecordKind::kX` appearing as an argument of an
-  // append(...), frame(...), or encode_frame(...) call (the frame encoders
-  // cover the compaction/salvage paths that emit kSnapshot directly).
+  // append(...), begin_frame(...), or encode_frame(...) call (the frame
+  // encoders cover the compaction/salvage paths that emit kSnapshot
+  // directly).
   std::set<std::string> writers;
   for (const FileModel& fm : ix.file_model) {
     const std::vector<Token>& toks = fm.tokens;
@@ -55,7 +56,7 @@ void rule_journal_coverage_impl(const ProjectIndex& ix, RuleSink& sink) {
       const std::size_t lo = i >= 8 ? i - 8 : 0;
       for (std::size_t k = lo; k < i; ++k) {
         if (toks[k].kind == Token::kIdent &&
-            (toks[k].text == "append" || toks[k].text == "frame" ||
+            (toks[k].text == "append" || toks[k].text == "begin_frame" ||
              toks[k].text == "encode_frame") &&
             k + 1 < toks.size() && toks[k + 1].text == "(") {
           writers.insert(toks[i + 2].text);
