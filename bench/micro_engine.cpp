@@ -1,6 +1,7 @@
 // Microbenchmarks (google-benchmark) for the simulation substrate:
 // event-queue throughput, scheduler iteration cost, protocol round-trips,
-// the journal's CRC-32 and compaction, and a full coupled-month simulation.
+// the journal's CRC-32 and compaction, a full coupled-month simulation, and
+// one month-end domain snapshot.
 #include <benchmark/benchmark.h>
 
 #include "core/coupled_sim.h"
@@ -244,33 +245,70 @@ void BM_JournalCompact(benchmark::State& state) {
 }
 BENCHMARK(BM_JournalCompact)->Unit(benchmark::kMicrosecond);
 
+/// A ~1/8-scale coupled Intrepid month next to a full Eureka month, with
+/// 10% pairing and hold-yield.  `eureka_jobs` > 0 fixes the Eureka job
+/// count instead of deriving it from the load.
+struct CoupledMonth {
+  std::vector<DomainSpec> specs;
+  std::vector<Trace> traces;
+};
+
+CoupledMonth coupled_month(std::size_t eureka_jobs = 0) {
+  SynthParams pa;
+  pa.job_count = 1150;
+  pa.span = 30 * kDay;
+  pa.offered_load = 0.68;
+  pa.seed = 1;
+  Trace a = generate_trace(intrepid_model(), pa);
+  SynthParams pb;
+  pb.span = 30 * kDay;
+  pb.offered_load = 0.5;
+  pb.job_count = eureka_jobs;
+  pb.seed = 2;
+  Trace b = generate_trace(eureka_model(), pb);
+  for (auto& j : b.jobs()) j.id += 1000000;
+  pair_by_proportion(a, b, 0.10, 3);
+  auto specs = make_coupled_specs("intrepid", 40960, "eureka", 100, kHY);
+  for (auto& s : specs) s.policy = "wfp";
+  return {specs, {a, b}};
+}
+
 void BM_CoupledMonth(benchmark::State& state) {
-  // A ~1/8-scale coupled month with 10% pairing, hold-yield.
   for (auto _ : state) {
     state.PauseTiming();
-    SynthParams pa;
-    pa.job_count = 1150;
-    pa.span = 30 * kDay;
-    pa.offered_load = 0.68;
-    pa.seed = 1;
-    Trace a = generate_trace(intrepid_model(), pa);
-    SynthParams pb;
-    pb.span = 30 * kDay;
-    pb.offered_load = 0.5;
-    pb.seed = 2;
-    Trace b = generate_trace(eureka_model(), pb);
-    for (auto& j : b.jobs()) j.id += 1000000;
-    pair_by_proportion(a, b, 0.10, 3);
-    auto specs = make_coupled_specs("intrepid", 40960, "eureka", 100, kHY);
-    for (auto& s : specs) s.policy = "wfp";
+    const CoupledMonth month = coupled_month();
     state.ResumeTiming();
 
-    CoupledSim sim(specs, {a, b});
+    CoupledSim sim(month.specs, month.traces);
     const SimResult r = sim.run(24 * 30 * kDay);
     benchmark::DoNotOptimize(r.completed);
   }
 }
 BENCHMARK(BM_CoupledMonth)->Unit(benchmark::kMillisecond);
+
+// One compaction's snapshot of the Eureka domain at the end of a month of
+// 9,000 Eureka jobs: every finished job, the ready-id set and the
+// expected-spec table, as Cluster::journal_commit() writes it before each
+// compaction.
+void BM_ClusterSnapshot(benchmark::State& state) {
+  const CoupledMonth month = coupled_month(/*eureka_jobs=*/9000);
+  CoupledSim sim(month.specs, month.traces);
+  sim.run(24 * 30 * kDay);
+  const Cluster& eureka = sim.cluster(1);
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    WireWriter w;
+    eureka.write_snapshot(w);
+    bytes = w.bytes().size();
+    benchmark::DoNotOptimize(w.bytes().data());
+  }
+  state.counters["finished_jobs"] =
+      static_cast<double>(eureka.scheduler().finished_count());
+  state.counters["snapshot_bytes"] = static_cast<double>(bytes);
+  state.SetBytesProcessed(static_cast<std::int64_t>(bytes) *
+                          state.iterations());
+}
+BENCHMARK(BM_ClusterSnapshot)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace cosched

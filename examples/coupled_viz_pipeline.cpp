@@ -66,7 +66,7 @@ double post_hoc_latency_minutes(const Campaign& c) {
   std::map<GroupId, Time> compute_end;
   for (const JobSpec& orig : c.compute.jobs()) {
     if (!orig.is_paired()) continue;
-    const RuntimeJob* j = phase1.cluster(0).scheduler().find(orig.id);
+    const auto j = phase1.cluster(0).scheduler().lookup(orig.id);
     compute_end[orig.group] = j->end;
   }
 
@@ -88,7 +88,7 @@ double post_hoc_latency_minutes(const Campaign& c) {
     if (!orig.is_paired()) continue;
     for (const JobSpec& mate : c.analysis.jobs()) {
       if (mate.group != orig.group) continue;
-      const RuntimeJob* aj = phase2.cluster(1).scheduler().find(mate.id);
+      const auto aj = phase2.cluster(1).scheduler().lookup(mate.id);
       total += to_minutes(aj->end - orig.submit);
       ++n;
       break;
@@ -112,7 +112,7 @@ double coscheduled_latency_minutes(const Campaign& c, SchemeCombo combo) {
     if (!orig.is_paired()) continue;
     for (const JobSpec& mate : c.analysis.jobs()) {
       if (mate.group != orig.group) continue;
-      const RuntimeJob* aj = sim.cluster(1).scheduler().find(mate.id);
+      const auto aj = sim.cluster(1).scheduler().lookup(mate.id);
       total += to_minutes(aj->end - orig.submit);
       ++n;
       break;

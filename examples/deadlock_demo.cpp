@@ -54,7 +54,7 @@ void run_variant(bool with_release) {
                               {0, 2},
                               {1, 10},
                               {1, 20}}) {
-      const RuntimeJob* j = sim.cluster(domain).scheduler().find(id);
+      const auto j = sim.cluster(domain).scheduler().lookup(id);
       std::cout << "  " << sim.cluster(domain).name() << "/job " << id
                 << " started at t=" << to_minutes(j->start) << " min\n";
     }

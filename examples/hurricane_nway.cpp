@@ -101,11 +101,11 @@ int main() {
            "skew (s)"});
   for (int ensemble = 0; ensemble < 5; ++ensemble) {
     const Time a =
-        sim.cluster(0).scheduler().find(500000 + ensemble)->start;
+        sim.cluster(0).scheduler().lookup(500000 + ensemble)->start;
     const Time o =
-        sim.cluster(1).scheduler().find(1500000 + ensemble)->start;
+        sim.cluster(1).scheduler().lookup(1500000 + ensemble)->start;
     const Time v =
-        sim.cluster(2).scheduler().find(2500000 + ensemble)->start;
+        sim.cluster(2).scheduler().lookup(2500000 + ensemble)->start;
     const Time lo = std::min({a, o, v}), hi = std::max({a, o, v});
     t.add_row({std::to_string(ensemble),
                format_double(to_minutes(a), 1) + " min",

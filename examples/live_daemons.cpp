@@ -84,7 +84,7 @@ class LiveDaemon : public CoschedService {
 
   Time start_time(JobId id) {
     std::lock_guard<std::mutex> lock(mutex_);
-    const RuntimeJob* j = sched_.find(id);
+    const auto j = sched_.lookup(id);
     return j ? j->start : kNoTime;
   }
 
@@ -99,7 +99,10 @@ class LiveDaemon : public CoschedService {
     std::lock_guard<std::mutex> lock(mutex_);
     if (committing_.count(job)) return MateStatus::kStarting;
     const RuntimeJob* j = sched_.find(job);
-    if (!j) return MateStatus::kUnsubmitted;
+    if (!j) {
+      return sched_.is_finished(job) ? MateStatus::kFinished
+                                     : MateStatus::kUnsubmitted;
+    }
     switch (j->state) {
       case JobState::kQueued: return MateStatus::kQueuing;
       case JobState::kHolding: return MateStatus::kHolding;

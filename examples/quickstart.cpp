@@ -54,7 +54,7 @@ int main() {
 
   // 4. Inspect the outcome.
   auto show = [&](std::size_t domain, JobId id) {
-    const RuntimeJob* j = sim.cluster(domain).scheduler().find(id);
+    const auto j = sim.cluster(domain).scheduler().lookup(id);
     std::cout << "  " << sim.cluster(domain).name() << " job " << id
               << ": submitted at " << to_minutes(j->spec.submit)
               << " min, started at " << to_minutes(j->start)

@@ -15,8 +15,8 @@ void Cluster::track_dependency(const JobSpec& spec) {
   if (!spec.has_dependency()) return;
   // Dependency already finished: schedule the delayed wake directly (the
   // finish-side drain will never see this dependent).
-  const RuntimeJob* dep = sched_.find(spec.after);
-  if (dep != nullptr && dep->state == JobState::kFinished) {
+  const std::optional<RuntimeJob> dep = sched_.lookup(spec.after);
+  if (dep && dep->state == JobState::kFinished) {
     const Time ready_at =
         std::max(engine_.now(), dep->end + spec.after_delay);
     engine_.schedule_at(ready_at, EventPriority::kSchedule,
@@ -121,8 +121,7 @@ void Cluster::do_submit(const JobSpec& spec) {
     w.put_i64(engine_.now());
     journal_->append(JournalRecordKind::kSubmit, w.bytes());
   }
-  if (const RuntimeJob* j = sched_.find(spec.id))
-    log_event(JobEventKind::kSubmit, *j);
+  log_event(JobEventKind::kSubmit, spec);
   request_iteration();
 }
 
@@ -135,7 +134,8 @@ void Cluster::load_trace(const Trace& trace) {
     engine_.schedule_at(spec.submit, EventPriority::kJobSubmit, [this, spec] {
       // A snapshot restore may already carry this job: the submit event
       // survives the crash (it is untracked) and must re-fire as a no-op.
-      if (sched_.find(spec.id) != nullptr) return;
+      if (sched_.find(spec.id) != nullptr || sched_.is_finished(spec.id))
+        return;
       do_submit(spec);
       journal_commit();
     });
@@ -151,7 +151,8 @@ void Cluster::submit_now(const JobSpec& spec) {
 void Cluster::kill_job(JobId id) {
   SourceScope scope(engine_, source_);
   const RuntimeJob* j = sched_.find(id);
-  if (j == nullptr || j->state == JobState::kFinished) return;
+  if (j == nullptr) return;  // unknown or already finished
+  const JobSpec spec = j->spec;  // kill() archives the job: j dangles
   sched_.kill(id, engine_.now());
   // The stale completion event stays armed (its body is state-guarded) so
   // the engine's drain time matches a run without the kill; only the
@@ -167,8 +168,7 @@ void Cluster::kill_job(JobId id) {
   gang_prepared_.erase(id);
   gang_backoff_until_.erase(id);
   gang_attempts_.erase(id);
-  if (const RuntimeJob* killed = sched_.find(id))
-    log_event(JobEventKind::kFinish, *killed);
+  log_event(JobEventKind::kFinish, spec);
   request_iteration();
   journal_commit();
 }
@@ -219,9 +219,11 @@ std::optional<JobId> Cluster::get_mate_job(GroupId group, JobId asking) {
 MateStatus Cluster::get_mate_status(JobId job) {
   if (committing_.count(job)) return MateStatus::kStarting;
   const RuntimeJob* j = sched_.find(job);
-  if (!j)
+  if (!j) {
+    if (sched_.is_finished(job)) return MateStatus::kFinished;
     return expected_.count(job) ? MateStatus::kUnsubmitted
                                 : MateStatus::kUnknown;
+  }
   switch (j->state) {
     case JobState::kQueued: return MateStatus::kQueuing;
     case JobState::kHolding: return MateStatus::kHolding;
@@ -262,8 +264,8 @@ bool Cluster::start_job(JobId job) {
 // -- Algorithm 1 --------------------------------------------------------------
 
 RunDecision Cluster::run_job_hook(RuntimeJob& job, bool try_context) {
-  if (ready_logged_.insert(job.spec.id).second) {
-    log_event(JobEventKind::kReady, job);
+  if (ready_logged_.insert(job.spec.id)) {
+    log_event(JobEventKind::kReady, job.spec);
     if (journaling()) {
       WireWriter w;
       w.put_i64(job.spec.id);
@@ -512,7 +514,7 @@ RunDecision Cluster::scheme_decision(RuntimeJob& job, bool try_context,
       w.put_i64(job.allocated);
       journal_->append(JournalRecordKind::kHold, w.bytes());
     }
-    log_event(JobEventKind::kHold, job);
+    log_event(JobEventKind::kHold, job.spec);
     if (liveness_on()) grant_lease(job.spec.id, blocking_peer_);
     return RunDecision::kHold;
   }
@@ -526,7 +528,7 @@ RunDecision Cluster::scheme_decision(RuntimeJob& job, bool try_context,
     w.put_double(job.priority_boost);  // absolute, so replay is idempotent
     journal_->append(JournalRecordKind::kYield, w.bytes());
   }
-  log_event(JobEventKind::kYield, job);
+  log_event(JobEventKind::kYield, job.spec);
   return RunDecision::kYield;
 }
 
@@ -550,8 +552,8 @@ Duration Cluster::gang_backoff(JobId job, std::uint32_t attempt) const {
 }
 
 RunDecision Cluster::gang_hold_hook(RuntimeJob& job) {
-  if (ready_logged_.insert(job.spec.id).second) {
-    log_event(JobEventKind::kReady, job);
+  if (ready_logged_.insert(job.spec.id)) {
+    log_event(JobEventKind::kReady, job.spec);
     if (journaling()) {
       WireWriter w;
       w.put_i64(job.spec.id);
@@ -568,7 +570,7 @@ RunDecision Cluster::gang_hold_hook(RuntimeJob& job) {
     w.put_i64(job.allocated);
     journal_->append(JournalRecordKind::kHold, w.bytes());
   }
-  log_event(JobEventKind::kHold, job);
+  log_event(JobEventKind::kHold, job.spec);
   // The prepared hold's lease has no renewal source (peer = -1): unless a
   // commit lands, it expires after lease_duration and the fencing epoch
   // advances — a partitioned coordinator can neither keep these nodes past
@@ -762,7 +764,7 @@ bool Cluster::gang_abort(JobId job, GroupId group) {
   if (j != nullptr && j->state == JobState::kHolding) {
     sched_.release_hold(job, now);
     if (const RuntimeJob* released = sched_.find(job))
-      log_event(JobEventKind::kHoldRelease, *released);
+      log_event(JobEventKind::kHoldRelease, released->spec);
     request_iteration();
   }
   journal_commit();
@@ -799,7 +801,7 @@ bool Cluster::gang_victim(JobId job, GroupId group) {
   if (liveness_on() && leases_.erase(job) > 0) ++fence_counter_;
   sched_.release_hold(job, now);
   if (const RuntimeJob* released = sched_.find(job))
-    log_event(JobEventKind::kHoldRelease, *released);
+    log_event(JobEventKind::kHoldRelease, released->spec);
   request_iteration();
   journal_commit();
   return true;
@@ -822,8 +824,8 @@ void Cluster::on_job_started(const RuntimeJob& job) {
   // bookkeeping above still applies (driven by replayed kDegraded state),
   // but events, records, and timers are reconstructed elsewhere.
   if (replaying_) return;
-  log_event(JobEventKind::kStart, job);
-  if (was_unsync) log_event(JobEventKind::kUnsyncStart, job);
+  log_event(JobEventKind::kStart, job.spec);
+  if (was_unsync) log_event(JobEventKind::kUnsyncStart, job.spec);
   if (journaling()) {
     WireWriter w;
     w.put_i64(id);
@@ -848,6 +850,7 @@ void Cluster::on_job_finished(JobId id) {
   // event; a second finish would corrupt the pool accounting.
   const RuntimeJob* cur = sched_.find(id);
   if (cur == nullptr || cur->state != JobState::kRunning) return;
+  const JobSpec spec = cur->spec;  // finish() archives the job: cur dangles
   sched_.finish(id, engine_.now());
   if (journaling()) {
     WireWriter w;
@@ -855,8 +858,7 @@ void Cluster::on_job_finished(JobId id) {
     w.put_i64(engine_.now());
     journal_->append(JournalRecordKind::kFinish, w.bytes());
   }
-  if (const RuntimeJob* j = sched_.find(id))
-    log_event(JobEventKind::kFinish, *j);
+  log_event(JobEventKind::kFinish, spec);
   // Dependents gated by a think-time delay become eligible later than this
   // finish-triggered iteration; wake the scheduler when the gap elapses.
   auto [begin, end] = dependents_.equal_range(id);
@@ -871,16 +873,28 @@ void Cluster::on_job_finished(JobId id) {
   journal_commit();
 }
 
-void Cluster::log_event(JobEventKind kind, const RuntimeJob& job) {
+void Cluster::log_event(JobEventKind kind, const JobSpec& spec) {
   if (event_log_ == nullptr) return;
   JobEvent e;
   e.time = engine_.now();
   e.system = name_;
   e.kind = kind;
-  e.job = job.spec.id;
-  e.group = job.spec.group;
-  e.nodes = job.spec.nodes;
+  e.job = spec.id;
+  e.group = spec.group;
+  e.nodes = spec.nodes;
   event_log_->record(source_, std::move(e));
+}
+
+bool Cluster::AscendingIds::insert(JobId id) {
+  // Jobs mostly become ready in id order, so the append is the common case.
+  if (ids_.empty() || ids_.back() < id) {
+    ids_.push_back(id);
+    return true;
+  }
+  const auto at = std::lower_bound(ids_.begin(), ids_.end(), id);
+  if (*at == id) return false;
+  ids_.insert(at, id);
+  return true;
 }
 
 void Cluster::arm_yield_retry_event(Time at, JobId id) {
@@ -953,7 +967,7 @@ void Cluster::hold_release_tick() {
     }
     leases_.erase(h);  // the domain-wide breaker supersedes the lease
     if (const RuntimeJob* j = sched_.find(h))
-      log_event(JobEventKind::kHoldRelease, *j);
+      log_event(JobEventKind::kHoldRelease, j->spec);
   }
   request_iteration();
   journal_commit();
@@ -994,8 +1008,9 @@ bool Cluster::admit_fence(JobId job, std::uint64_t fence) {
   // acting on it could double-start the group.
   ++stale_fence_rejections_;
   pending_stale_fence_ = job;
-  if (const RuntimeJob* j = sched_.find(job))
-    log_event(JobEventKind::kFenceReject, *j);
+  // The stale caller may name a job that has since finished.
+  if (const std::optional<RuntimeJob> j = sched_.lookup(job))
+    log_event(JobEventKind::kFenceReject, j->spec);
   return false;
 }
 
@@ -1146,8 +1161,9 @@ void Cluster::expire_lease(JobId job, bool mate_dead) {
   leases_.erase(it);
   ++lease_expiries_;
   ++fence_counter_;
+  // Live only: a start or kill of the job has already dropped its lease.
   const RuntimeJob* j = sched_.find(job);
-  if (j != nullptr) log_event(JobEventKind::kLeaseExpire, *j);
+  if (j != nullptr) log_event(JobEventKind::kLeaseExpire, j->spec);
   if (j != nullptr && j->state == JobState::kHolding) {
     const bool degraded = mate_dead || fault_seen_.count(job) > 0;
     if (journaling()) {
@@ -1161,7 +1177,7 @@ void Cluster::expire_lease(JobId job, bool mate_dead) {
     ++forced_releases_;
     if (degraded) ++degraded_forced_releases_;
     if (const RuntimeJob* released = sched_.find(job))
-      log_event(JobEventKind::kHoldRelease, *released);
+      log_event(JobEventKind::kHoldRelease, released->spec);
     // The requeued job decides afresh next iteration: a confirmed-dead mate
     // then takes the §IV-C unknown path and starts unsynchronized.
     request_iteration();
@@ -1279,7 +1295,8 @@ void Cluster::write_snapshot(WireWriter& w) const {
     w.put_u64(ids.size());
     for (JobId id : ids) w.put_i64(id);
   };
-  write_set(ready_logged_);
+  w.put_u64(ready_logged_.ids().size());  // already ascending
+  for (JobId id : ready_logged_.ids()) w.put_i64(id);
   write_set(fault_seen_);
   write_set(unsync_pending_);
 
@@ -1370,7 +1387,8 @@ void Cluster::apply_snapshot(WireReader& r) {
   const auto read_set = [&r](std::unordered_set<JobId>& s) {
     for (std::uint64_t n = r.get_u64(); n > 0; --n) s.insert(r.get_i64());
   };
-  read_set(ready_logged_);
+  for (std::uint64_t n = r.get_u64(); n > 0; --n)
+    ready_logged_.insert(r.get_i64());
   read_set(fault_seen_);
   read_set(unsync_pending_);
 
@@ -1536,18 +1554,20 @@ void Cluster::apply_record(const JournalRecord& rec) {
       // Re-register the dependency link only while it can still fire; wakes
       // for already-finished dependencies are re-derived by
       // rearm_after_restore().
-      if (spec.has_dependency()) {
-        const RuntimeJob* dep = sched_.find(spec.after);
-        if (dep == nullptr || dep->state != JobState::kFinished)
-          dependents_.emplace(spec.after,
-                              std::make_pair(spec.id, spec.after_delay));
-      }
+      if (spec.has_dependency() && !sched_.is_finished(spec.after))
+        dependents_.emplace(spec.after,
+                            std::make_pair(spec.id, spec.after_delay));
       break;
     }
     case JournalRecordKind::kReady: {
       const JobId id = r.get_i64();
       const Time first_ready = r.get_i64();
       ready_logged_.insert(id);
+      // The Run_Job hook journals kReady for a queued job, before any
+      // record that could finish it, and replay applies records in
+      // sequence order: the job cannot have finished yet.
+      COSCHED_CHECK_MSG(!sched_.is_finished(id),
+                        name_ << ": kReady replayed for finished job " << id);
       if (RuntimeJob* j = sched_.find_mut(id))
         if (j->first_ready == kNoTime) j->first_ready = first_ready;
       break;
@@ -1982,8 +2002,8 @@ void Cluster::rearm_after_restore() {
   // track_dependency() direct wakes).
   for (const auto& [id, job] : sched_.jobs()) {
     if (job.state != JobState::kQueued || !job.spec.has_dependency()) continue;
-    const RuntimeJob* dep = sched_.find(job.spec.after);
-    if (dep == nullptr || dep->state != JobState::kFinished) continue;
+    const std::optional<RuntimeJob> dep = sched_.lookup(job.spec.after);
+    if (!dep || dep->state != JobState::kFinished) continue;
     const Time ready_at = dep->end + job.spec.after_delay;
     if (ready_at > now)
       engine_.schedule_at(ready_at, EventPriority::kSchedule,

@@ -310,7 +310,7 @@ class Cluster final : public CoschedService {
   void on_job_finished(JobId id);
   void schedule_hold_release(JobId id);
   void schedule_yield_retry(JobId id);
-  void log_event(JobEventKind kind, const RuntimeJob& job);
+  void log_event(JobEventKind kind, const JobSpec& spec);
 
   // Timer event bodies, named so recovery can re-arm them at absolute
   // journaled times.
@@ -375,7 +375,20 @@ class Cluster final : public CoschedService {
   bool release_tick_pending_ = false;
   bool periodic_armed_ = false;
   EventLog* event_log_ = nullptr;
-  std::unordered_set<JobId> ready_logged_;
+  /// A grow-only id set kept as an ascending vector, so write_snapshot()
+  /// emits it as it stands instead of hash-walking and sorting it.
+  class AscendingIds {
+   public:
+    /// Adds `id`; true when it was not present yet.
+    bool insert(JobId id);
+    void clear() { ids_.clear(); }
+    const std::vector<JobId>& ids() const { return ids_; }
+
+   private:
+    std::vector<JobId> ids_;
+  };
+  /// Jobs whose first kReady was logged.
+  AscendingIds ready_logged_;
   /// Jobs whose latest decision path hit a transport fault; membership makes
   /// a subsequent forced release fault-attributable.
   std::unordered_set<JobId> fault_seen_;

@@ -461,8 +461,11 @@ void CoupledSim::check_invariants(SimResult& result, bool aborted) const {
   for (const auto& cluster : clusters_) {
     // Node accounting: the pool's busy/held totals must equal the sums over
     // live jobs — a mismatch means a kill/release/finish path leaked nodes.
+    // Finished jobs hold no nodes and never wait, so only live jobs are read.
     NodeCount busy_sum = 0, held_sum = 0;
-    cluster->scheduler().for_each_job([&](JobId id, const RuntimeJob& job) {
+    for (const RuntimeJob* live : cluster->scheduler().live_by_id()) {
+      const RuntimeJob& job = *live;
+      const JobId id = job.spec.id;
       if (job.state == JobState::kRunning) busy_sum += job.allocated;
       if (job.state == JobState::kHolding) held_sum += job.allocated;
       // Waits-forever: the event queue drained on its own, yet this job is
@@ -475,7 +478,7 @@ void CoupledSim::check_invariants(SimResult& result, bool aborted) const {
                 " waits forever (state=" +
                 (job.state == JobState::kQueued ? "queued" : "holding") + ")");
       }
-    });
+    }
     const auto& pool = cluster->scheduler().pool();
     if (pool.busy() != busy_sum || pool.held() != held_sum) {
       ++result.invariants.node_accounting_leaks;

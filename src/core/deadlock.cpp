@@ -29,12 +29,13 @@ std::vector<WaitEdge> build_wait_graph(
         // const_cast is safe: get_mate_job only reads the registry.
         auto mate = const_cast<Cluster*>(cy)->get_mate_job(job.spec.group, id);
         if (!mate) continue;
-        const RuntimeJob* mj = cy->scheduler().find(*mate);
+        const RuntimeJob* mj = cy->scheduler().find(*mate);  // live only
         const bool queued_blocked =
             mj != nullptr && mj->state == JobState::kQueued &&
             !cy->scheduler().pool().can_allocate(
                 cy->scheduler().pool().charged(mj->spec.nodes));
-        const bool unsubmitted = mj == nullptr;
+        const bool unsubmitted =
+            mj == nullptr && !cy->scheduler().is_finished(*mate);
         if (queued_blocked || unsubmitted)
           edges.push_back(WaitEdge{x, y, id});
       }

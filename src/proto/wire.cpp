@@ -2,25 +2,17 @@
 
 namespace cosched {
 
-void WireWriter::put_u64(std::uint64_t v) {
-  while (v >= 0x80) {
-    buf_.push_back(static_cast<std::uint8_t>(v) | 0x80);
-    v >>= 7;
-  }
-  buf_.push_back(static_cast<std::uint8_t>(v));
-}
-
 void WireWriter::put_string(const std::string& s) {
   put_u64(s.size());
   buf_.insert(buf_.end(), s.begin(), s.end());
 }
 
-std::uint8_t WireReader::get_u8() {
+std::uint8_t WireReader::get_u8_slow() {
   if (pos_ >= data_.size()) throw ParseError("wire: truncated u8");
   return data_[pos_++];
 }
 
-std::uint64_t WireReader::get_u64() {
+std::uint64_t WireReader::get_u64_slow() {
   std::uint64_t v = 0;
   int shift = 0;
   for (;;) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "proto/message.h"
 #include "sched/profile.h"
 #include "util/error.h"
 #include "util/log.h"
@@ -20,7 +19,7 @@ Scheduler::Scheduler(NodeCount capacity, std::unique_ptr<PriorityPolicy> policy,
 
 void Scheduler::submit(const JobSpec& spec, Time now) {
   COSCHED_CHECK_MSG(spec.id != kNoJob, "job must have an id");
-  COSCHED_CHECK_MSG(!jobs_.count(spec.id) && !archived_.count(spec.id),
+  COSCHED_CHECK_MSG(!jobs_.count(spec.id) && !finished_.contains(spec.id),
                     "duplicate submit of job " << spec.id);
   COSCHED_CHECK_MSG(pool_.charged(spec.nodes) <= pool_.capacity(),
                     "job " << spec.id << " cannot fit the machine");
@@ -38,9 +37,8 @@ bool Scheduler::eligible(const RuntimeJob& job, Time now) const {
   if (!job.spec.has_dependency()) return true;
   // Finished dependencies live in the archive; a dependency still in the
   // live table (or not yet submitted) cannot be satisfied.
-  auto it = archived_.find(job.spec.after);
-  if (it == archived_.end()) return false;
-  return now >= it->second.end + job.spec.after_delay;
+  const std::optional<RuntimeJob> dep = finished_.find(job.spec.after);
+  return dep && now >= dep->end + job.spec.after_delay;
 }
 
 std::vector<JobId> Scheduler::priority_order(Time now) const {
@@ -320,7 +318,7 @@ void Scheduler::finish(JobId id, Time now) {
   erase_running_end(job);
   job.state = JobState::kFinished;
   job.end = now;
-  archive(id, std::move(job));
+  finished_.insert(job);
   jobs_.erase(it);
   touch();  // archived dependencies may unblock queued jobs
 }
@@ -346,23 +344,24 @@ void Scheduler::kill(JobId id, Time now) {
   }
   job.state = JobState::kFinished;
   job.end = now;
-  archive(id, std::move(job));
+  finished_.insert(job);
   jobs_.erase(it);
   touch();
 }
 
 const RuntimeJob* Scheduler::find(JobId id) const {
   auto it = jobs_.find(id);
-  if (it != jobs_.end()) return &it->second;
-  auto ar = archived_.find(id);
-  return ar == archived_.end() ? nullptr : &ar->second;
+  return it == jobs_.end() ? nullptr : &it->second;
 }
 
 RuntimeJob* Scheduler::find_mut(JobId id) {
   auto it = jobs_.find(id);
-  if (it != jobs_.end()) return &it->second;
-  auto ar = archived_.find(id);
-  return ar == archived_.end() ? nullptr : &ar->second;
+  return it == jobs_.end() ? nullptr : &it->second;
+}
+
+std::optional<RuntimeJob> Scheduler::lookup(JobId id) const {
+  if (const RuntimeJob* j = find(id)) return *j;
+  return finished_.find(id);
 }
 
 std::vector<JobId> Scheduler::holding_ids() const {
@@ -382,8 +381,16 @@ void Scheduler::remove_from_queue(JobId id) {
   }
 }
 
-void Scheduler::archive(JobId id, RuntimeJob&& job) {
-  archived_.emplace(id, std::move(job));
+std::vector<const RuntimeJob*> Scheduler::live_by_id() const {
+  std::vector<const RuntimeJob*> rows;
+  rows.reserve(jobs_.size());
+  // cosched-lint: ordered(rows are sorted by id before use)
+  for (const auto& [id, job] : jobs_) rows.push_back(&job);
+  std::sort(rows.begin(), rows.end(),
+            [](const RuntimeJob* a, const RuntimeJob* b) {
+              return a->spec.id < b->spec.id;
+            });
+  return rows;
 }
 
 void Scheduler::erase_running_end(const RuntimeJob& job) {
@@ -407,33 +414,13 @@ void Scheduler::snapshot(WireWriter& w) const {
   w.put_double(a.busy_ns);
   w.put_double(a.held_ns);
 
-  const auto write_jobs =
-      [&w](const std::unordered_map<JobId, RuntimeJob>& table) {
-        std::vector<std::pair<JobId, const RuntimeJob*>> rows;
-        rows.reserve(table.size());
-        // cosched-lint: ordered(rows are sorted by id before encoding)
-        for (const auto& [id, job] : table) rows.emplace_back(id, &job);
-        std::sort(rows.begin(), rows.end(), [](const auto& a, const auto& b) {
-          return a.first < b.first;
-        });
-        w.put_u64(rows.size());
-        for (const auto& row : rows) {
-          const RuntimeJob& j = *row.second;
-          encode_job_spec(w, j.spec);
-          w.put_u8(static_cast<std::uint8_t>(j.state));
-          w.put_i64(j.start);
-          w.put_i64(j.end);
-          w.put_i64(j.first_ready);
-          w.put_i64(j.hold_since);
-          w.put_i64(j.allocated);
-          w.put_i64(j.yield_count);
-          w.put_i64(j.forced_releases);
-          w.put_bool(j.demoted);
-          w.put_double(j.priority_boost);
-        }
-      };
-  write_jobs(jobs_);
-  write_jobs(archived_);
+  // Live rows are encoded here; finished rows were encoded when each job
+  // was archived and go out as one copy.
+  const std::vector<const RuntimeJob*> live = live_by_id();
+  w.put_u64(live.size());
+  for (const RuntimeJob* j : live) encode_job_row(w, *j);
+  w.put_u64(finished_.size());
+  w.put_bytes(finished_.bytes());
 
   // The running-end index in iteration order: equal walltime-end keys keep
   // multimap insertion (= start) order, which the shadow/profile scans
@@ -452,35 +439,27 @@ void Scheduler::restore(WireReader& r) {
   pool_.restore(a);
 
   jobs_.clear();
-  archived_.clear();
+  finished_.clear();
   queued_.clear();
   queue_pos_.clear();
   running_ends_.clear();
   holding_.clear();
 
-  const auto read_jobs = [&r](std::unordered_map<JobId, RuntimeJob>& table) {
-    const std::uint64_t n = r.get_u64();
-    for (std::uint64_t i = 0; i < n; ++i) {
-      RuntimeJob j;
-      j.spec = decode_job_spec(r);
-      const std::uint8_t s = r.get_u8();
-      COSCHED_CHECK_MSG(s <= static_cast<std::uint8_t>(JobState::kFinished),
-                        "snapshot: bad job state " << int(s));
-      j.state = static_cast<JobState>(s);
-      j.start = r.get_i64();
-      j.end = r.get_i64();
-      j.first_ready = r.get_i64();
-      j.hold_since = r.get_i64();
-      j.allocated = r.get_i64();
-      j.yield_count = static_cast<int>(r.get_i64());
-      j.forced_releases = static_cast<int>(r.get_i64());
-      j.demoted = r.get_bool();
-      j.priority_boost = r.get_double();
-      table.emplace(j.spec.id, std::move(j));
-    }
-  };
-  read_jobs(jobs_);
-  read_jobs(archived_);
+  for (std::uint64_t n = r.get_u64(); n > 0; --n) {
+    RuntimeJob j = decode_job_row(r);
+    const JobId id = j.spec.id;
+    jobs_.emplace(id, std::move(j));
+  }
+  // Each finished row is decoded and re-encoded: insert() rejects a row
+  // that is not finished or repeats an id, and the stored bytes are the
+  // canonical encoding whatever varints the image used.
+  for (std::uint64_t n = r.get_u64(); n > 0; --n) {
+    const RuntimeJob j = decode_job_row(r);
+    const JobId id = j.spec.id;
+    COSCHED_CHECK_MSG(!jobs_.count(id),
+                      "snapshot: job " << id << " both live and finished");
+    finished_.insert(j);
+  }
 
   // Rebuild indices.  Queue order is behaviorally irrelevant (priority_order
   // is a total order with an id tiebreak), so sorted-by-id is canonical.
@@ -606,10 +585,6 @@ void Scheduler::validate_indices() const {
   COSCHED_CHECK_MSG(holding == holding_.size(), "hold index size mismatch");
   COSCHED_CHECK_MSG(running == running_ends_.size(),
                     "running-end index size mismatch");
-  // cosched-lint: ordered(pure assertions; no output or state depends on order)
-  for (const auto& [id, j] : archived_)
-    COSCHED_CHECK_MSG(j.state == JobState::kFinished,
-                      "archived job " << id << " not finished");
 }
 
 }  // namespace cosched

@@ -9,7 +9,8 @@
 // same separation the authors used between Cobalt and their extension.
 //
 // Hot-path design: every scheduling iteration touches only *live* jobs.
-// Finished jobs move to an archive map, running jobs are indexed by their
+// Finished jobs move to an archive of encoded snapshot rows
+// (sched/finished_jobs.h), running jobs are indexed by their
 // walltime end (the shadow/profile scans walk that index instead of the
 // whole job table), holding jobs are indexed in a sorted set, and the
 // priority order is cached per (time, state-epoch) so the repeated
@@ -17,16 +18,17 @@
 // score-and-sort.
 #pragma once
 
-#include <algorithm>
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "proto/wire.h"
+#include "sched/finished_jobs.h"
 #include "sched/node_pool.h"
 #include "sched/policy.h"
 #include "sched/runtime_job.h"
@@ -124,9 +126,16 @@ class Scheduler {
 
   // -- introspection ---------------------------------------------------
 
-  /// Looks up a job by id, live or archived.
+  /// Looks up a live (queued/holding/running) job; nullptr once it has
+  /// finished.  The pointer is valid until the next scheduler mutation.
   const RuntimeJob* find(JobId id) const;
   RuntimeJob* find_mut(JobId id);
+
+  /// A copy of any job, live or finished (decoded from its archived row).
+  /// For the few callers that can meet a finished job; hot paths use find().
+  std::optional<RuntimeJob> lookup(JobId id) const;
+  /// True once the job has finished or been killed.
+  bool is_finished(JobId id) const { return finished_.contains(id); }
 
   NodePool& pool() { return pool_; }
   const NodePool& pool() const { return pool_; }
@@ -145,38 +154,28 @@ class Scheduler {
   std::vector<JobId> holding_ids() const;
   std::size_t holding_count() const { return holding_.size(); }
   std::size_t running_count() const { return running_ends_.size(); }
-  std::size_t finished_count() const { return archived_.size(); }
+  std::size_t finished_count() const { return finished_.size(); }
 
-  /// Live (queued/holding/running) jobs.  Finished jobs are in archived().
+  /// Live (queued/holding/running) jobs.  Finished jobs are archived as
+  /// snapshot rows; reach them through lookup() or for_each_job().
   const std::unordered_map<JobId, RuntimeJob>& jobs() const { return jobs_; }
-
-  /// Finished jobs, moved out of the live table so hot-path scans never
-  /// touch them.
-  const std::unordered_map<JobId, RuntimeJob>& archived() const {
-    return archived_;
-  }
+  /// Live jobs in ascending-id order (pointers valid until the next
+  /// scheduler mutation).
+  std::vector<const RuntimeJob*> live_by_id() const;
 
   /// Applies `fn(id, job)` to every job this scheduler has seen, live then
-  /// archived, each table in ascending-id order (for metric extraction).
-  /// The canonical order matters: callers sum floating-point metrics and
-  /// build report strings, and hash-order iteration would make both depend
-  /// on insertion history (live run vs. journal replay).
+  /// finished, each in ascending-id order (for metric extraction).  The
+  /// canonical order matters: callers sum floating-point metrics and build
+  /// report strings, and hash-order iteration would make both depend on
+  /// insertion history (live run vs. journal replay).
   template <class F>
   void for_each_job(F&& fn) const {
-    const auto sorted_ids = [](const std::unordered_map<JobId, RuntimeJob>& t) {
-      std::vector<JobId> ids;
-      ids.reserve(t.size());
-      // cosched-lint: ordered(ids are sorted before use below)
-      for (const auto& [id, job] : t) ids.push_back(id);
-      std::sort(ids.begin(), ids.end());
-      return ids;
-    };
-    for (JobId id : sorted_ids(jobs_)) fn(id, jobs_.at(id));
-    for (JobId id : sorted_ids(archived_)) fn(id, archived_.at(id));
+    for (const RuntimeJob* j : live_by_id()) fn(j->spec.id, *j);
+    finished_.for_each([&fn](const RuntimeJob& j) { fn(j.spec.id, j); });
   }
 
-  /// Total jobs ever submitted (live + archived).
-  std::size_t total_jobs() const { return jobs_.size() + archived_.size(); }
+  /// Total jobs ever submitted (live + finished).
+  std::size_t total_jobs() const { return jobs_.size() + finished_.size(); }
 
   /// Brute-force recomputes every maintained index from the job tables and
   /// throws InvariantError on any mismatch (test/debug hook).
@@ -225,7 +224,6 @@ class Scheduler {
 
   void do_start(RuntimeJob& job, Time now);
   void remove_from_queue(JobId id);
-  void archive(JobId id, RuntimeJob&& job);
   void erase_running_end(const RuntimeJob& job);
 
   // Any state change that can alter priority order, eligibility, or the
@@ -237,8 +235,8 @@ class Scheduler {
   SchedulerConfig config_;
   std::function<void(const RuntimeJob&)> on_start_;
 
-  std::unordered_map<JobId, RuntimeJob> jobs_;      ///< live jobs only
-  std::unordered_map<JobId, RuntimeJob> archived_;  ///< finished jobs
+  std::unordered_map<JobId, RuntimeJob> jobs_;  ///< live jobs only
+  FinishedJobs finished_;                       ///< finished jobs, as rows
 
   // -- maintained indices over the live table --------------------------
   std::vector<JobId> queued_;

@@ -29,11 +29,10 @@ inline std::vector<DomainSpec> two_domains(
   return specs;
 }
 
-/// Finds a job's runtime record in a cluster (asserts it exists).
-inline const RuntimeJob& find_job(CoupledSim& sim, std::size_t domain,
-                                  JobId id) {
-  const RuntimeJob* j = sim.cluster(domain).scheduler().find(id);
-  if (j == nullptr) throw Error("test: job not found");
+/// A copy of a job's runtime record, live or finished (asserts it exists).
+inline RuntimeJob find_job(CoupledSim& sim, std::size_t domain, JobId id) {
+  const auto j = sim.cluster(domain).scheduler().lookup(id);
+  if (!j) throw Error("test: job not found");
   return *j;
 }
 

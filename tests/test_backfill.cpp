@@ -30,7 +30,7 @@ TEST(Backfill, ShortJobJumpsBlockedHead) {
   s.submit(spec(3, 2, 1000, 20, 1000), 2);     // short: fits in window
   const auto started = s.iterate(10);
   ASSERT_EQ(started, (std::vector<JobId>{3}));
-  EXPECT_EQ(s.find(2)->state, JobState::kQueued);
+  EXPECT_EQ(s.lookup(2)->state, JobState::kQueued);
 }
 
 TEST(Backfill, LongJobMustNotDelayHead) {
@@ -47,7 +47,7 @@ TEST(Backfill, LongJobMustNotDelayHead) {
   s.submit(spec(5, 4, 20000, 10, 20000), 4);
   const auto started = s.iterate(10);
   EXPECT_EQ(started, (std::vector<JobId>{3, 4}));
-  EXPECT_EQ(s.find(5)->state, JobState::kQueued);
+  EXPECT_EQ(s.lookup(5)->state, JobState::kQueued);
   EXPECT_EQ(s.pool().free(), 30);
 }
 
@@ -98,7 +98,7 @@ TEST(Backfill, ShadowAccountsMultipleRunningJobs) {
   s.submit(spec(5, 3, 5000, 10, 5000), 3);
   const auto started = s.iterate(10);
   EXPECT_EQ(started, (std::vector<JobId>{4}));
-  EXPECT_EQ(s.find(5)->state, JobState::kQueued);
+  EXPECT_EQ(s.lookup(5)->state, JobState::kQueued);
 }
 
 TEST(Backfill, HeldNodesExcludedFromShadowSupply) {

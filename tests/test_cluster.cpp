@@ -48,7 +48,7 @@ TEST(ClusterService, TryStartMateStartsFittingQueuedJob) {
   // Drain the pending iteration event first? No: call try directly while
   // queued.
   EXPECT_TRUE(rig.cluster.try_start_mate(1));
-  EXPECT_EQ(rig.cluster.scheduler().find(1)->state, JobState::kRunning);
+  EXPECT_EQ(rig.cluster.scheduler().lookup(1)->state, JobState::kRunning);
   EXPECT_EQ(rig.cluster.try_start_requests(), 1u);
 }
 
@@ -117,9 +117,9 @@ TEST(Cluster, PeriodicIterationRetriesYieldedJobs) {
   alpha.load_trace(a);
   beta.load_trace(b);
   engine.run();
-  ASSERT_EQ(alpha.scheduler().find(1)->state, JobState::kFinished);
-  EXPECT_EQ(alpha.scheduler().find(1)->start,
-            beta.scheduler().find(10)->start);
+  ASSERT_EQ(alpha.scheduler().lookup(1)->state, JobState::kFinished);
+  EXPECT_EQ(alpha.scheduler().lookup(1)->start,
+            beta.scheduler().lookup(10)->start);
   // The engine drained: periodic ticks stop once all work completes.
   EXPECT_EQ(engine.pending(), 0u);
 }
@@ -156,8 +156,8 @@ TEST(Cluster, ForcedReleaseCounterAdvances) {
   beta.load_trace(b);
   engine.run();
   EXPECT_GE(alpha.forced_releases(), 3u);
-  EXPECT_EQ(alpha.scheduler().find(1)->start,
-            beta.scheduler().find(10)->start);
+  EXPECT_EQ(alpha.scheduler().lookup(1)->start,
+            beta.scheduler().lookup(10)->start);
 }
 
 }  // namespace

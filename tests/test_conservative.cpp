@@ -96,7 +96,7 @@ TEST(Conservative, HeldNodesBlockPlanning) {
   s.submit(spec(3, 2, 600, 30), 2);  // fits beside the held nodes
   const auto started = s.iterate(2);
   EXPECT_EQ(started, (std::vector<JobId>{3}));
-  EXPECT_EQ(s.find(2)->state, JobState::kQueued);
+  EXPECT_EQ(s.lookup(2)->state, JobState::kQueued);
 }
 
 TEST(Conservative, HookDecisionsRespected) {
@@ -108,7 +108,7 @@ TEST(Conservative, HookDecisionsRespected) {
     return j.spec.id == 1 ? RunDecision::kYield : RunDecision::kStart;
   });
   EXPECT_EQ(started, (std::vector<JobId>{2}));
-  EXPECT_EQ(s.find(1)->yield_count, 1);
+  EXPECT_EQ(s.lookup(1)->yield_count, 1);
 }
 
 TEST(Conservative, CompletesAWorkloadEquivalently) {

@@ -84,9 +84,9 @@ TEST(ClusterDependency, ChainRunsInOrder) {
   t.add(dep_job(3, 0, 600, 100, 2));
   c.load_trace(t);
   engine.run();
-  EXPECT_EQ(c.scheduler().find(1)->start, 0);
-  EXPECT_EQ(c.scheduler().find(2)->start, 600);
-  EXPECT_EQ(c.scheduler().find(3)->start, 1200);
+  EXPECT_EQ(c.scheduler().lookup(1)->start, 0);
+  EXPECT_EQ(c.scheduler().lookup(2)->start, 600);
+  EXPECT_EQ(c.scheduler().lookup(3)->start, 1200);
 }
 
 TEST(ClusterDependency, ThinkTimeWakesSchedulerOnQuietMachine) {
@@ -99,7 +99,7 @@ TEST(ClusterDependency, ThinkTimeWakesSchedulerOnQuietMachine) {
   t.add(dep_job(2, 0, 600, 100, 1, /*delay=*/1800));
   c.load_trace(t);
   engine.run();
-  EXPECT_EQ(c.scheduler().find(2)->start, 2400);
+  EXPECT_EQ(c.scheduler().lookup(2)->start, 2400);
 }
 
 TEST(ClusterDependency, DependencyFinishedBeforeDependentSubmitted) {
@@ -111,7 +111,7 @@ TEST(ClusterDependency, DependencyFinishedBeforeDependentSubmitted) {
   // end(1) + delay = 100 + 500 = 600 >= its submit time.
   c.submit_now(dep_job(2, 0, 100, 10, 1, /*delay=*/500));
   engine.run();
-  EXPECT_EQ(c.scheduler().find(2)->start, 600);
+  EXPECT_EQ(c.scheduler().lookup(2)->start, 600);
 }
 
 TEST(ClusterDependency, DependencyComposesWithCoscheduling) {

@@ -44,10 +44,10 @@ TEST(Gang, ThreeDomainsCommitInOneRound) {
   EXPECT_EQ(r.gangs_prepared, 2u);
   EXPECT_EQ(r.gangs_aborted, 0u);
   EXPECT_EQ(r.invariants.gang_atomicity_violations, 0u);
-  const Time start = sim.cluster(0).scheduler().find(1)->start;
+  const Time start = sim.cluster(0).scheduler().lookup(1)->start;
   EXPECT_EQ(start, 400);
-  EXPECT_EQ(sim.cluster(1).scheduler().find(10)->start, start);
-  EXPECT_EQ(sim.cluster(2).scheduler().find(20)->start, start);
+  EXPECT_EQ(sim.cluster(1).scheduler().lookup(10)->start, start);
+  EXPECT_EQ(sim.cluster(2).scheduler().lookup(20)->start, start);
 }
 
 TEST(Gang, FourDomainsCommitTogether) {
@@ -61,7 +61,7 @@ TEST(Gang, FourDomainsCommitTogether) {
   EXPECT_EQ(r.gangs_committed, 1u);
   EXPECT_EQ(r.invariants.gang_atomicity_violations, 0u);
   for (int i = 0; i < 4; ++i)
-    EXPECT_EQ(sim.cluster(i).scheduler().find(100 + i)->start, 300);
+    EXPECT_EQ(sim.cluster(i).scheduler().lookup(100 + i)->start, 300);
 }
 
 TEST(Gang, TwoDomainGroupsKeepTheLegacyChain) {
@@ -96,7 +96,7 @@ TEST(Gang, PrepareFailureAbortsTheRoundAndBacksOff) {
   EXPECT_EQ(r.invariants.gang_atomicity_violations, 0u);
   EXPECT_EQ(r.groups.groups_started_together, 1u);
   // The gang could not start before the filler freed d2.
-  EXPECT_GE(sim.cluster(2).scheduler().find(20)->start, 30 * kMinute);
+  EXPECT_GE(sim.cluster(2).scheduler().lookup(20)->start, 30 * kMinute);
 }
 
 TEST(Gang, PartitionDuringCostartHealsWithoutStranding) {
@@ -160,7 +160,7 @@ TEST(Gang, CycleResolutionVictimizesAndCompletes) {
   EXPECT_GE(r.gangs_resolved_by_victim, 1u);
   // Deterministic victim: all holders submitted at t=0, so the tie breaks
   // toward the lowest job id — job 1 on d0 yields its hold.
-  EXPECT_GE(sim.cluster(0).scheduler().find(1)->forced_releases, 1);
+  EXPECT_GE(sim.cluster(0).scheduler().lookup(1)->forced_releases, 1);
 }
 
 TEST(Gang, ResolutionIsDeterministicAcrossRuns) {

@@ -37,10 +37,10 @@ TEST(NWay, ThreeDomainsStartTogether) {
   EXPECT_TRUE(r.completed);
   EXPECT_EQ(r.groups.groups_total, 1u);
   EXPECT_EQ(r.groups.groups_started_together, 1u);
-  const Time start = sim.cluster(0).scheduler().find(1)->start;
+  const Time start = sim.cluster(0).scheduler().lookup(1)->start;
   EXPECT_EQ(start, 400);  // last member's arrival
-  EXPECT_EQ(sim.cluster(1).scheduler().find(10)->start, start);
-  EXPECT_EQ(sim.cluster(2).scheduler().find(20)->start, start);
+  EXPECT_EQ(sim.cluster(1).scheduler().lookup(10)->start, start);
+  EXPECT_EQ(sim.cluster(2).scheduler().lookup(20)->start, start);
 }
 
 TEST(NWay, MixedSchemesAcrossThreeDomains) {
@@ -68,7 +68,7 @@ TEST(NWay, TryStartChainAcrossThreeDomains) {
   const SimResult r = sim.run(30 * kDay);
   EXPECT_TRUE(r.completed);
   EXPECT_EQ(r.groups.groups_started_together, 1u);
-  EXPECT_EQ(sim.cluster(0).scheduler().find(1)->start, 20);
+  EXPECT_EQ(sim.cluster(0).scheduler().lookup(1)->start, 20);
 }
 
 TEST(NWay, PartialGroupSpanningTwoOfThreeDomains) {
@@ -82,7 +82,7 @@ TEST(NWay, PartialGroupSpanningTwoOfThreeDomains) {
   const SimResult r = sim.run(30 * kDay);
   EXPECT_TRUE(r.completed);
   EXPECT_EQ(r.groups.groups_started_together, 1u);
-  EXPECT_EQ(sim.cluster(0).scheduler().find(1)->start, 100);
+  EXPECT_EQ(sim.cluster(0).scheduler().lookup(1)->start, 100);
 }
 
 TEST(NWay, GroupedSyntheticWorkloadCompletes) {
@@ -126,7 +126,7 @@ TEST(NWay, FourDomainsStartTogether) {
   EXPECT_TRUE(r.completed);
   EXPECT_EQ(r.groups.groups_started_together, 1u);
   for (int i = 0; i < 4; ++i)
-    EXPECT_EQ(sim.cluster(i).scheduler().find(100 + i)->start, 300);
+    EXPECT_EQ(sim.cluster(i).scheduler().lookup(100 + i)->start, 300);
 }
 
 }  // namespace

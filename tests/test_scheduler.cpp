@@ -31,8 +31,8 @@ TEST(Scheduler, StartsFittingJobImmediately) {
   s.submit(spec(1, 0, 600, 50), 0);
   const auto started = s.iterate(0);
   ASSERT_EQ(started, (std::vector<JobId>{1}));
-  EXPECT_EQ(s.find(1)->state, JobState::kRunning);
-  EXPECT_EQ(s.find(1)->start, 0);
+  EXPECT_EQ(s.lookup(1)->state, JobState::kRunning);
+  EXPECT_EQ(s.lookup(1)->start, 0);
   EXPECT_EQ(s.pool().busy(), 50);
 }
 
@@ -61,8 +61,8 @@ TEST(Scheduler, FinishFreesNodes) {
   s.iterate(0);
   s.finish(1, 600);
   EXPECT_EQ(s.pool().busy(), 0);
-  EXPECT_EQ(s.find(1)->state, JobState::kFinished);
-  EXPECT_EQ(s.find(1)->end, 600);
+  EXPECT_EQ(s.lookup(1)->state, JobState::kFinished);
+  EXPECT_EQ(s.lookup(1)->end, 600);
   EXPECT_EQ(s.finished_count(), 1u);
 }
 
@@ -101,8 +101,8 @@ TEST(Scheduler, HookYieldSkipsAndCounts) {
   });
   EXPECT_EQ(calls, 2);
   ASSERT_EQ(started, (std::vector<JobId>{2}));
-  EXPECT_EQ(s.find(1)->yield_count, 1);
-  EXPECT_EQ(s.find(1)->state, JobState::kQueued);
+  EXPECT_EQ(s.lookup(1)->yield_count, 1);
+  EXPECT_EQ(s.lookup(1)->state, JobState::kQueued);
   EXPECT_EQ(s.pool().held(), 0);
 }
 
@@ -110,8 +110,8 @@ TEST(Scheduler, SkipDoesNotCountAsYield) {
   Scheduler s = make_sched(100);
   s.submit(spec(1, 0, 600, 60), 0);
   s.iterate(0, [](RuntimeJob&) { return RunDecision::kSkip; });
-  EXPECT_EQ(s.find(1)->yield_count, 0);
-  EXPECT_EQ(s.find(1)->state, JobState::kQueued);
+  EXPECT_EQ(s.lookup(1)->yield_count, 0);
+  EXPECT_EQ(s.lookup(1)->state, JobState::kQueued);
 }
 
 TEST(Scheduler, FirstReadyRecordedOnce) {
@@ -119,10 +119,10 @@ TEST(Scheduler, FirstReadyRecordedOnce) {
   s.submit(spec(1, 0, 600, 60), 0);
   s.iterate(10, [](RuntimeJob&) { return RunDecision::kYield; });
   s.iterate(50, [](RuntimeJob&) { return RunDecision::kYield; });
-  EXPECT_EQ(s.find(1)->first_ready, 10);
+  EXPECT_EQ(s.lookup(1)->first_ready, 10);
   s.iterate(100);
-  EXPECT_EQ(s.find(1)->start, 100);
-  EXPECT_EQ(s.find(1)->sync_time(), 90);
+  EXPECT_EQ(s.lookup(1)->start, 100);
+  EXPECT_EQ(s.lookup(1)->sync_time(), 90);
 }
 
 TEST(Scheduler, StartHoldingPromotes) {
@@ -174,8 +174,8 @@ TEST(Scheduler, TryStartSpecificStartsFittingJob) {
   Scheduler s = make_sched(100);
   s.submit(spec(1, 0, 600, 60), 0);
   EXPECT_TRUE(s.try_start_specific(1, 5));
-  EXPECT_EQ(s.find(1)->state, JobState::kRunning);
-  EXPECT_EQ(s.find(1)->start, 5);
+  EXPECT_EQ(s.lookup(1)->state, JobState::kRunning);
+  EXPECT_EQ(s.lookup(1)->start, 5);
 }
 
 TEST(Scheduler, TryStartSpecificFailsWhenFull) {
@@ -184,7 +184,7 @@ TEST(Scheduler, TryStartSpecificFailsWhenFull) {
   s.iterate(0);
   s.submit(spec(2, 10, 600, 40), 10);
   EXPECT_FALSE(s.try_start_specific(2, 10));
-  EXPECT_EQ(s.find(2)->state, JobState::kQueued);
+  EXPECT_EQ(s.lookup(2)->state, JobState::kQueued);
 }
 
 TEST(Scheduler, TryStartSpecificUnknownOrRunning) {
@@ -200,7 +200,7 @@ TEST(Scheduler, TryStartSpecificHookDeclines) {
   s.submit(spec(1, 0, 600, 60), 0);
   EXPECT_FALSE(s.try_start_specific(
       1, 0, [](RuntimeJob&) { return RunDecision::kSkip; }));
-  EXPECT_EQ(s.find(1)->state, JobState::kQueued);
+  EXPECT_EQ(s.lookup(1)->state, JobState::kQueued);
   EXPECT_EQ(s.pool().free(), 100);
 }
 
@@ -209,7 +209,7 @@ TEST(Scheduler, KillQueuedJob) {
   s.submit(spec(1, 0, 600, 60), 0);
   s.kill(1, 5);
   EXPECT_EQ(s.queue_length(), 0u);
-  EXPECT_EQ(s.find(1)->state, JobState::kFinished);
+  EXPECT_EQ(s.lookup(1)->state, JobState::kFinished);
 }
 
 TEST(Scheduler, KillRunningJobFreesNodes) {
@@ -218,7 +218,7 @@ TEST(Scheduler, KillRunningJobFreesNodes) {
   s.iterate(0);
   s.kill(1, 100);
   EXPECT_EQ(s.pool().busy(), 0);
-  EXPECT_EQ(s.find(1)->end, 100);
+  EXPECT_EQ(s.lookup(1)->end, 100);
 }
 
 TEST(Scheduler, KillHoldingJobFreesHeldNodes) {
@@ -263,9 +263,9 @@ TEST(Scheduler, YieldedJobRetriesAndEventuallyStarts) {
   const auto started = s.iterate(300);
   EXPECT_EQ(attempts, 3);
   EXPECT_EQ(started, (std::vector<JobId>{1}));
-  EXPECT_EQ(s.find(1)->yield_count, 3);
-  EXPECT_EQ(s.find(1)->first_ready, 0);
-  EXPECT_EQ(s.find(1)->sync_time(), 300);
+  EXPECT_EQ(s.lookup(1)->yield_count, 3);
+  EXPECT_EQ(s.lookup(1)->first_ready, 0);
+  EXPECT_EQ(s.lookup(1)->sync_time(), 300);
 }
 
 TEST(Scheduler, HoldReleaseHoldCycleKeepsAccountingBalanced) {
@@ -278,7 +278,7 @@ TEST(Scheduler, HoldReleaseHoldCycleKeepsAccountingBalanced) {
     EXPECT_EQ(s.pool().held(), 0);
     EXPECT_EQ(s.pool().free(), 100);
   }
-  EXPECT_EQ(s.find(1)->forced_releases, 5);
+  EXPECT_EQ(s.lookup(1)->forced_releases, 5);
   // 5 episodes x 60 nodes x 500 s of held time.
   EXPECT_DOUBLE_EQ(s.pool().held_node_seconds(), 5.0 * 60 * 500);
 }

@@ -77,10 +77,12 @@ TEST(SchedulerIndex, FinishedJobsAreArchivedAndExcludedFromLiveScans) {
   EXPECT_EQ(s.finished_count(), 1u);
   // The live map no longer holds job 1...
   EXPECT_EQ(s.jobs().count(1), 0u);
-  EXPECT_EQ(s.archived().count(1), 1u);
+  EXPECT_EQ(s.find(1), nullptr);
+  EXPECT_TRUE(s.is_finished(1));
   // ...but lookups and whole-history iteration still see it.
-  ASSERT_NE(s.find(1), nullptr);
-  EXPECT_EQ(s.find(1)->state, JobState::kFinished);
+  ASSERT_TRUE(s.lookup(1).has_value());
+  EXPECT_EQ(s.lookup(1)->state, JobState::kFinished);
+  EXPECT_EQ(s.lookup(1)->end, 100);
   std::size_t seen = 0;
   s.for_each_job([&](JobId, const RuntimeJob&) { ++seen; });
   EXPECT_EQ(seen, 2u);
