@@ -51,9 +51,9 @@ double scale();
 /// speedup numbers can be judged against the machine they ran on.
 int hardware_cpus();
 
-/// Worker threads for batched case execution AND the ceiling for the engine
-/// worker pool in the parallel-engine benches: COSCHED_BENCH_THREADS
-/// (default: hardware concurrency, at least 1).
+/// Worker threads for the batched (case x seed) sweep of parallel_for:
+/// COSCHED_BENCH_THREADS (default: hardware concurrency, at least 1).  Each
+/// simulation itself runs on one thread.
 int threads();
 
 /// Runs fn(i) for i in [0, n) on up to threads() workers (serially when

@@ -88,9 +88,8 @@ class Cluster final : public CoschedService {
   const Scheduler& scheduler() const { return sched_; }
   Engine& engine() { return engine_; }
   const std::string& name() const { return name_; }
-  /// This domain's engine event source: every event the cluster schedules is
-  /// tagged with it, so build_clusters() can place linked domains in one
-  /// dependency cluster and run unlinked ones in parallel.
+  /// This domain's registration index on its engine; exists only for
+  /// perfbench/traced_month.cpp.
   SourceId source() const { return source_; }
   const CoschedConfig& config() const { return cfg_; }
   void set_config(const CoschedConfig& cfg) { cfg_ = cfg; }
@@ -187,13 +186,10 @@ class Cluster final : public CoschedService {
   const std::set<JobId>& gang_prepared_jobs() const { return gang_prepared_; }
 
   /// Attaches a lifecycle event log (not owned; may be shared across
-  /// domains).  Pass nullptr to detach.  The cluster records into the shard
-  /// matching its engine source, so domains on different lanes never touch
-  /// the same shard under parallel execution.
-  void set_event_log(EventLog* log) {
-    event_log_ = log;
-    if (log != nullptr) log->ensure_shard(source_);
-  }
+  /// domains).  Pass nullptr to detach.  The cluster records under its
+  /// registration index on the engine, which orders same-time entries of
+  /// the shared log (EventLog::events()).
+  void set_event_log(EventLog* log) { event_log_ = log; }
 
   /// Schedules a scheduling iteration at the current time (coalesced).
   void request_iteration();

@@ -23,17 +23,14 @@ CoupledSim::CoupledSim(std::vector<DomainSpec> specs,
         spec.cosched, spec.sched, spec.alloc));
   }
 
-  // Protocol links between domains sharing a coupling group: every call
-  // crosses the full encode/dispatch/decode path through a loopback peer,
-  // wrapped in a fault injector.  With the default (all domains in group 0)
-  // this is the legacy all-to-all topology; distinct groups stay unlinked
-  // and become independent dependency clusters of the engine.
+  // All-to-all protocol links: every call crosses the full
+  // encode/dispatch/decode path through a loopback peer, wrapped in a fault
+  // injector.
   links_.resize(specs.size());
   for (std::size_t from = 0; from < specs.size(); ++from) {
     links_[from].resize(specs.size());
     for (std::size_t to = 0; to < specs.size(); ++to) {
       if (from == to) continue;
-      if (specs[from].coupling_group != specs[to].coupling_group) continue;
       links_[from][to] = std::make_unique<FaultInjectingPeer>(
           std::make_unique<LoopbackPeer>(*clusters_[to]), &engine_);
       // After a transport fault the *calling* domain re-examines its queue
@@ -42,13 +39,8 @@ CoupledSim::CoupledSim(std::vector<DomainSpec> specs,
       links_[from][to]->set_retry_listener(
           [cluster = clusters_[from].get()] { cluster->request_iteration(); });
       clusters_[from]->add_peer(*links_[from][to]);
-      // Linked domains exchange synchronous peer calls, so they must share
-      // an execution lane.
-      engine_.add_dependency(clusters_[from]->source(),
-                             clusters_[to]->source());
     }
   }
-  engine_.build_clusters();
 
   for (std::size_t i = 0; i < traces.size(); ++i)
     clusters_[i]->load_trace(traces[i]);
@@ -56,10 +48,7 @@ CoupledSim::CoupledSim(std::vector<DomainSpec> specs,
 
 FaultInjectingPeer& CoupledSim::link(std::size_t from, std::size_t to) {
   COSCHED_CHECK(from != to);
-  COSCHED_CHECK_MSG(links_.at(from).at(to) != nullptr,
-                    "domains " << from << " and " << to
-                               << " are not in the same coupling group");
-  return *links_[from][to];
+  return *links_.at(from).at(to);
 }
 
 void CoupledSim::set_fault_plan(std::size_t from, std::size_t to,
@@ -77,7 +66,7 @@ void CoupledSim::set_fault_plan_all(const FaultPlan& plan) {
       if (from == to) continue;
       FaultPlan p = plan;
       p.seed = mix.next() ^ (static_cast<std::uint64_t>(from) << 32 | to);
-      if (links_[from][to] != nullptr) links_[from][to]->set_plan(std::move(p));
+      links_[from][to]->set_plan(std::move(p));
     }
   }
 }
@@ -134,8 +123,7 @@ void CoupledSim::gang_resolution_body() {
         if (e.to == victim.from) waiter = e.from;
       const RuntimeJob* vj =
           clusters_[victim.from]->scheduler().find(victim.holding_job);
-      if (vj != nullptr && waiter != victim.from &&
-          links_[waiter][victim.from] != nullptr) {
+      if (vj != nullptr && waiter != victim.from) {
         COSCHED_LOG(kInfo) << "gang resolution: cycle of length "
                            << cycle.length() << ", victim job "
                            << victim.holding_job << " on "
@@ -176,7 +164,7 @@ void CoupledSim::schedule_domain_crash(std::size_t domain, Time at,
                        << engine_.now();
     // A crashed machine neither answers its peers nor reaches them.
     for (std::size_t other = 0; other < clusters_.size(); ++other) {
-      if (other == domain || links_[domain][other] == nullptr) continue;
+      if (other == domain) continue;
       links_[domain][other]->set_crashed(true);
       links_[other][domain]->set_crashed(true);
     }
@@ -196,7 +184,7 @@ void CoupledSim::schedule_domain_crash(std::size_t domain, Time at,
       COSCHED_LOG(kInfo) << clusters_[domain]->name()
                          << ": domain restart at t=" << engine_.now();
       for (std::size_t other = 0; other < clusters_.size(); ++other) {
-        if (other == domain || links_[domain][other] == nullptr) continue;
+        if (other == domain) continue;
         links_[domain][other]->set_crashed(false);
         links_[other][domain]->set_crashed(false);
       }
@@ -283,13 +271,9 @@ void CoupledSim::schedule_crash_recovery(std::size_t domain,
     // Disarm first: the crash event itself commits records while recovering.
     journals_[domain]->set_on_commit(nullptr);
     // kMessage priority: the crash lands right after the committing event
-    // body, before any same-time scheduling activity.  Tagged with the
-    // crashing domain's source: the hook fires inside that domain's lane,
-    // and the recovery only touches that domain, so the event stays
-    // lane-local under parallel execution.
-    engine_.schedule_from(clusters_[domain]->source(), engine_.now(),
-                          EventPriority::kMessage,
-                          [this, domain] { crash_and_recover(domain); });
+    // body, before any same-time scheduling activity.
+    engine_.schedule_at(engine_.now(), EventPriority::kMessage,
+                        [this, domain] { crash_and_recover(domain); });
   });
 }
 
@@ -361,38 +345,12 @@ SimResult CoupledSim::run(Time max_time) {
   abort_invariants_.reset();
   bool aborted = false;
   try {
-    if (parallel_threads_ > 0) {
-      // Derive the conservative-window lookahead from the fault plane: no
-      // cross-cluster message can arrive sooner than the minimum configured
-      // network latency, so windows of that width are safe.  Only kicks in
-      // when the caller left the engine at its unbounded default.
-      if (engine_.lookahead() == kNoTime) {
-        Duration min_latency = 0;
-        for (const auto& row : links_) {
-          for (const auto& l : row) {
-            if (!l || l->plan().latency_base <= 0) continue;
-            if (min_latency == 0 || l->plan().latency_base < min_latency)
-              min_latency = l->plan().latency_base;
-          }
-        }
-        if (min_latency > 0) engine_.set_lookahead(min_latency);
-      }
-      engine_.run_parallel(parallel_threads_,
-                           max_time > 0 ? max_time : Engine::kTimeMax);
-      if (max_time > 0 && engine_.pending() > 0) {
+    while (engine_.step()) {
+      if (max_time > 0 && engine_.now() > max_time) {
         COSCHED_LOG(kWarn) << "simulation aborted at t=" << engine_.now()
-                           << " (max_time exceeded, " << engine_.pending()
-                           << " events still pending)";
+                           << " (max_time exceeded)";
         aborted = true;
-      }
-    } else {
-      while (engine_.step()) {
-        if (max_time > 0 && engine_.now() > max_time) {
-          COSCHED_LOG(kWarn) << "simulation aborted at t=" << engine_.now()
-                             << " (max_time exceeded)";
-          aborted = true;
-          break;
-        }
+        break;
       }
     }
   } catch (...) {

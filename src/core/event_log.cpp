@@ -52,11 +52,9 @@ std::int64_t parse_field(const std::string& token, const char* key) {
 std::vector<JobEvent> EventLog::events() const {
   std::vector<JobEvent> out;
   out.reserve(size());
-  // Concatenate in shard order, then stable-sort by time: equal-time events
-  // keep (shard, in-shard index) order, making the merge a pure function of
-  // shard contents — identical for serial and parallel runs.
-  for (const auto& shard : shards_) out.insert(out.end(), shard.begin(),
-                                               shard.end());
+  // Concatenate in domain order, then stable-sort by time: equal-time
+  // events keep (domain, record index) order.
+  for (const auto& d : domains_) out.insert(out.end(), d.begin(), d.end());
   std::stable_sort(out.begin(), out.end(),
                    [](const JobEvent& a, const JobEvent& b) {
                      return a.time < b.time;
@@ -66,7 +64,7 @@ std::vector<JobEvent> EventLog::events() const {
 
 std::size_t EventLog::size() const {
   std::size_t n = 0;
-  for (const auto& shard : shards_) n += shard.size();
+  for (const auto& d : domains_) n += d.size();
   return n;
 }
 

@@ -10,9 +10,9 @@
 
 #include <iosfwd>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "util/error.h"
 #include "util/types.h"
 #include "workload/job.h"
 
@@ -51,45 +51,34 @@ struct JobEvent {
 
 /// Append-only event record shared by the domains of one simulation.
 ///
-/// Storage is sharded: each recording domain appends to its own shard
-/// (indexed by its engine SourceId), so domains executing on different
-/// parallel-engine lanes never touch the same vector.  events() merges the
-/// shards deterministically — stable by time, shard order breaking ties —
-/// so the merged view is identical for every thread count (each shard's
-/// internal order is its lane-serial order, which parallel execution
-/// preserves).  Single-writer users keep the legacy API: record(event)
-/// appends to shard 0.
+/// Each domain appends to its own list, indexed by its registration number
+/// on the engine (Engine::register_source).  events() merges the lists by
+/// time, then domain number, then record order, and that merged order is
+/// what write_text prints: at one instant, domain 0's entries come before
+/// domain 1's whichever domain ran first.  record(event) appends to domain
+/// 0's list, for single-writer users.
 class EventLog {
  public:
   void record(JobEvent event) { record(0, std::move(event)); }
 
-  /// Appends to one shard.  The shard must exist (ensure_shard); growth is
-  /// kept out of this call so concurrent writers never reallocate the
-  /// shard table.
-  void record(std::size_t shard, JobEvent event) {
-    COSCHED_CHECK(shard < shards_.size());
-    shards_[shard].push_back(std::move(event));
+  /// Appends to the list of `domain`.
+  void record(std::size_t domain, JobEvent event) {
+    if (domain >= domains_.size()) domains_.resize(domain + 1);
+    domains_[domain].push_back(std::move(event));
   }
 
-  /// Grows the shard table to cover `shard`.  Call at attach time, before
-  /// any parallel recording starts.
-  void ensure_shard(std::size_t shard) {
-    if (shard >= shards_.size()) shards_.resize(shard + 1);
-  }
-  std::size_t shard_count() const { return shards_.size(); }
-
-  /// Deterministic merged view of all shards.
+  /// Merged view: by time, then domain, then record order.
   std::vector<JobEvent> events() const;
   std::size_t size() const;
   bool empty() const { return size() == 0; }
   void clear() {
-    for (auto& s : shards_) s.clear();
+    for (auto& d : domains_) d.clear();
   }
 
-  /// Events of one kind, in record order.
+  /// Events of one kind, in merged order.
   std::vector<JobEvent> of_kind(JobEventKind kind) const;
 
-  /// Writes one line per event:
+  /// Writes one line per event, in merged order:
   ///   <time> <system> <kind> job=<id> group=<g> nodes=<n>
   void write_text(std::ostream& os) const;
 
@@ -97,8 +86,7 @@ class EventLog {
   static EventLog read_text(std::istream& is);
 
  private:
-  std::vector<std::vector<JobEvent>> shards_ =
-      std::vector<std::vector<JobEvent>>(1);
+  std::vector<std::vector<JobEvent>> domains_;
 };
 
 /// §V-B check, computed purely from the log: every group's members started,

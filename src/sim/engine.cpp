@@ -1,218 +1,104 @@
 #include "sim/engine.h"
 
 #include <algorithm>
-#include <atomic>
-#include <numeric>
+#include <limits>
 #include <utility>
-
-#include "util/worker_pool.h"
 
 namespace cosched {
 
-thread_local Engine::ExecContext* Engine::tls_ctx_ = nullptr;
+namespace {
 
-Engine::Engine() : lanes_(1) {}
-
-Engine::~Engine() = default;
-
-Engine::ExecContext* Engine::context() const {
-  ExecContext* c = tls_ctx_;
-  return (c != nullptr && c->engine == this) ? c : nullptr;
+EventId make_id(std::uint32_t slot, std::uint32_t gen) {
+  return (static_cast<EventId>(gen) << 32) | slot;
 }
 
-Time Engine::now() const {
-  const ExecContext* c = context();
-  return c != nullptr ? c->now : now_;
-}
-
-SourceId Engine::current_source() const {
-  const ExecContext* c = context();
-  return c != nullptr ? c->src : ambient_src_;
-}
+}  // namespace
 
 EventId Engine::schedule_at(Time t, int priority, Handler fn) {
-  return schedule_from(current_source(), t, priority, std::move(fn));
-}
-
-EventId Engine::schedule_from(SourceId src, Time t, int priority, Handler fn) {
   COSCHED_CHECK(fn != nullptr);
-  if (ExecContext* c = context()) {
-    COSCHED_CHECK_MSG(t >= c->now, "cannot schedule event in the past: t="
-                                       << t << " now=" << c->now);
-    const std::uint32_t lane = lane_index_of(src);
-    if (lane == c->lane_index) {
-      return insert(*c->lane, lane, t, priority, c->lane->win_seq++, src,
-                    std::move(fn), /*in_window=*/true);
-    }
-    // Cross-cluster schedule from inside a parallel window: buffered until
-    // the barrier.  The conservative-lookahead contract requires it to land
-    // at or after the window end — otherwise another lane may already have
-    // executed past `t`.
-    COSCHED_CHECK_MSG(t >= c->window_end,
-                      "cross-cluster event inside the lookahead window: t="
-                          << t << " window_end=" << c->window_end
-                          << " (raise set_lookahead or add_dependency)");
-    c->lane->outbox.push_back(CrossEvent{t, priority, src, std::move(fn)});
-    return kNullEventId;
-  }
   COSCHED_CHECK_MSG(t >= now_, "cannot schedule event in the past: t="
                                    << t << " now=" << now_);
-  const std::uint32_t lane = lane_index_of(src);
-  return insert(lanes_[lane], lane, t, priority, next_seq_++, src,
-                std::move(fn), /*in_window=*/false);
-}
-
-EventId Engine::insert(Lane& lane, std::uint32_t lane_index, Time t,
-                       int priority, std::uint64_t seq, SourceId src,
-                       Handler fn, bool in_window) {
   std::uint32_t slot;
-  if (!lane.free.empty()) {
-    slot = lane.free.back();
-    lane.free.pop_back();
+  if (!free_.empty()) {
+    slot = free_.back();
+    free_.pop_back();
   } else {
-    slot = static_cast<std::uint32_t>(lane.slots.size());
-    COSCHED_CHECK_MSG(slot < kSlotLimit, "lane slot space exhausted");
-    lane.slots.emplace_back();
+    COSCHED_CHECK_MSG(slots_.size() < std::numeric_limits<std::uint32_t>::max(),
+                      "event slot space exhausted");
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
   }
-  Slot& s = lane.slots[slot];
+  Slot& s = slots_[slot];
   s.fn = std::move(fn);
-  s.src = src;
-  lane.heap.push_back(Entry{t, priority, seq, slot, s.gen});
-  std::push_heap(lane.heap.begin(), lane.heap.end(), Later{});
-  if (in_window) {
-    ++lane.win_scheduled;
-    ++lane.win_armed_delta;
-  } else {
-    ++scheduled_;
-    ++armed_;
-    peak_pending_ = std::max(peak_pending_, armed_);
-  }
-  return make_id(lane_index, slot, s.gen);
+  heap_.push_back(Entry{t, priority, next_seq_++, slot, s.gen});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
+  ++scheduled_;
+  ++armed_;
+  peak_pending_ = std::max(peak_pending_, armed_);
+  return make_id(slot, s.gen);
 }
 
 bool Engine::cancel(EventId id) {
-  if (id == kNullEventId) return false;  // buffered cross-lane schedule
   const auto gen = static_cast<std::uint32_t>(id >> 32);
-  const auto lane_index =
-      static_cast<std::uint32_t>((id >> kSlotBits) & (kMaxLanes - 1));
-  const auto slot = static_cast<std::uint32_t>(id & (kSlotLimit - 1));
-  ExecContext* c = context();
-  if (c != nullptr) {
-    // A worker may only touch the lane it owns; other lanes' slot tables
-    // are concurrently mutated by their own workers.
-    COSCHED_CHECK_MSG(lane_index == c->lane_index,
-                      "cancel() across dependency clusters inside a parallel "
-                      "window (lane " << lane_index << " from lane "
-                                      << c->lane_index << ")");
-  } else if (lane_index >= lanes_.size()) {
-    return false;
-  }
-  Lane& lane = c != nullptr ? *c->lane : lanes_[lane_index];
-  if (slot >= lane.slots.size()) return false;
-  Slot& s = lane.slots[slot];
+  const auto slot = static_cast<std::uint32_t>(id);
+  if (slot >= slots_.size()) return false;
+  Slot& s = slots_[slot];
   if (s.gen != gen || !s.fn) return false;
   s.fn = nullptr;
   ++s.gen;  // the heap entry, now stale, is skipped as a tombstone
-  lane.free.push_back(slot);
-  ++lane.dead;
-  if (c != nullptr) {
-    ++lane.win_cancelled;
-    --lane.win_armed_delta;
-  } else {
-    --armed_;
-    ++cancelled_;
-  }
-  maybe_compact(lane, c != nullptr);
+  free_.push_back(slot);
+  ++dead_;
+  --armed_;
+  ++cancelled_;
+  maybe_compact();
   return true;
 }
 
-void Engine::maybe_compact(Lane& lane, bool in_window) {
-  if (lane.heap.size() < kCompactMinHeap ||
-      lane.dead * 2 <= lane.heap.size()) {
-    return;
-  }
+void Engine::maybe_compact() {
+  if (heap_.size() < kCompactMinHeap || dead_ * 2 <= heap_.size()) return;
   const auto live_end =
-      std::remove_if(lane.heap.begin(), lane.heap.end(), [&lane](const Entry& e) {
-        return lane.slots[e.slot].gen != e.gen;
+      std::remove_if(heap_.begin(), heap_.end(), [this](const Entry& e) {
+        return slots_[e.slot].gen != e.gen;
       });
   const auto removed =
-      static_cast<std::uint64_t>(std::distance(live_end, lane.heap.end()));
-  lane.heap.erase(live_end, lane.heap.end());
-  std::make_heap(lane.heap.begin(), lane.heap.end(), Later{});
-  lane.dead -= removed;
-  if (in_window) {
-    lane.win_tombstones += removed;
-    ++lane.win_compactions;
-  } else {
-    tombstones_ += removed;
-    ++compactions_;
-  }
+      static_cast<std::uint64_t>(std::distance(live_end, heap_.end()));
+  heap_.erase(live_end, heap_.end());
+  std::make_heap(heap_.begin(), heap_.end(), Later{});
+  dead_ -= removed;
+  tombstones_ += removed;
+  ++compactions_;
 }
 
-const Engine::Entry* Engine::peek_live(Lane& lane, bool in_window) {
-  while (!lane.heap.empty()) {
-    const Entry& e = lane.heap.front();
-    if (lane.slots[e.slot].gen == e.gen) return &e;
-    std::pop_heap(lane.heap.begin(), lane.heap.end(), Later{});
-    lane.heap.pop_back();
-    --lane.dead;
-    if (in_window) {
-      ++lane.win_tombstones;
-    } else {
-      // cosched-lint: allow(engine-shared-state) serial-path branch only; in-window workers count via lane.win_tombstones above
-      ++tombstones_;
-    }
+const Engine::Entry* Engine::peek_live() {
+  while (!heap_.empty()) {
+    const Entry& e = heap_.front();
+    if (slots_[e.slot].gen == e.gen) return &e;
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    heap_.pop_back();
+    --dead_;
+    ++tombstones_;
   }
   return nullptr;
 }
 
-Engine::PeekResult Engine::peek_serial() {
-  PeekResult best;
-  for (Lane& lane : lanes_) {
-    const Entry* e = peek_live(lane, /*in_window=*/false);
-    if (e != nullptr && (best.entry == nullptr || Later{}(*best.entry, *e))) {
-      best = PeekResult{&lane, e};
-    }
-  }
-  return best;
-}
-
-namespace {
-/// Restores the ambient source even when a handler throws.
-class AmbientRestore {
- public:
-  AmbientRestore(SourceId* slot, SourceId value) : slot_(slot), prev_(*slot) {
-    *slot_ = value;
-  }
-  ~AmbientRestore() { *slot_ = prev_; }
-
- private:
-  SourceId* slot_;
-  SourceId prev_;
-};
-}  // namespace
-
-void Engine::exec_top(Lane& lane) {
-  const Entry e = lane.heap.front();
-  std::pop_heap(lane.heap.begin(), lane.heap.end(), Later{});
-  lane.heap.pop_back();
-  Slot& s = lane.slots[e.slot];
+void Engine::exec_top() {
+  const Entry e = heap_.front();
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  heap_.pop_back();
+  Slot& s = slots_[e.slot];
   Handler fn = std::move(s.fn);
-  const SourceId src = s.src;
   s.fn = nullptr;
   ++s.gen;
-  lane.free.push_back(e.slot);
+  free_.push_back(e.slot);
   --armed_;
   now_ = e.time;
   ++executed_;
-  AmbientRestore ambient(&ambient_src_, src);
   fn();  // may schedule events and grow slots; no slot refs held past here
 }
 
 bool Engine::step() {
-  const PeekResult top = peek_serial();
-  if (top.entry == nullptr) return false;
-  exec_top(*top.lane);
+  if (peek_live() == nullptr) return false;
+  exec_top();
   return true;
 }
 
@@ -223,214 +109,11 @@ void Engine::run() {
 
 void Engine::run_until(Time t) {
   COSCHED_CHECK(t >= now_);
-  for (;;) {
-    const PeekResult top = peek_serial();
-    if (top.entry == nullptr || top.entry->time > t) break;
-    exec_top(*top.lane);
+  for (const Entry* top = peek_live(); top != nullptr && top->time <= t;
+       top = peek_live()) {
+    exec_top();
   }
   now_ = t;
 }
-
-// -- event sources & dependency clusters -------------------------------------
-
-SourceId Engine::register_source(std::string name) {
-  COSCHED_CHECK_MSG(!clustered_, "register_source after build_clusters");
-  COSCHED_CHECK(!name.empty());
-  sources_.push_back(Source{std::move(name), 0});
-  return static_cast<SourceId>(sources_.size() - 1);
-}
-
-void Engine::add_dependency(SourceId a, SourceId b) {
-  COSCHED_CHECK_MSG(!clustered_, "add_dependency after build_clusters");
-  COSCHED_CHECK(a < sources_.size() && b < sources_.size());
-  deps_.emplace_back(a, b);
-}
-
-std::size_t Engine::build_clusters() {
-  COSCHED_CHECK_MSG(!clustered_, "build_clusters called twice");
-  COSCHED_CHECK_MSG(scheduled_ == 0,
-                    "build_clusters must precede all scheduling");
-  // Union-find over the dependency graph; each connected component of
-  // sources becomes one lane.  Lane numbering follows the smallest source
-  // index in each component, so the partition is a pure function of the
-  // registration and dependency order.
-  std::vector<std::uint32_t> parent(sources_.size());
-  std::iota(parent.begin(), parent.end(), 0u);
-  auto find = [&parent](std::uint32_t x) {
-    while (parent[x] != x) {
-      parent[x] = parent[parent[x]];
-      x = parent[x];
-    }
-    return x;
-  };
-  for (const auto& [a, b] : deps_) {
-    const std::uint32_t ra = find(a), rb = find(b);
-    if (ra != rb) parent[std::max(ra, rb)] = std::min(ra, rb);
-  }
-  std::vector<std::uint32_t> lane_of_root(sources_.size(), 0);
-  std::uint32_t next_lane = 0;
-  for (std::uint32_t i = 0; i < sources_.size(); ++i) {
-    const std::uint32_t root = find(i);
-    if (root == i) {
-      COSCHED_CHECK_MSG(next_lane + 1 < kMaxLanes, "too many clusters");
-      lane_of_root[root] = ++next_lane;
-    }
-    sources_[i].lane = lane_of_root[root];
-  }
-  lanes_.resize(1 + next_lane);
-  clustered_ = true;
-  return next_lane;
-}
-
-// -- parallel execution -------------------------------------------------------
-
-void Engine::ensure_pool(unsigned threads) {
-  const unsigned helpers = threads - 1;
-  if (helpers == 0) {
-    pool_.reset();
-    return;
-  }
-  if (pool_ == nullptr || pool_->helpers() != helpers) {
-    pool_ = std::make_unique<WorkerPool>(helpers);
-  }
-}
-
-void Engine::run_parallel(unsigned threads, Time until) {
-  COSCHED_CHECK(threads >= 1);
-  COSCHED_CHECK_MSG(context() == nullptr, "recursive run_parallel");
-  ensure_pool(threads);
-  std::vector<std::uint32_t> parts;
-  for (;;) {
-    const PeekResult front = peek_serial();
-    if (front.entry == nullptr) break;
-    const Time start = front.entry->time;
-    if (start > until) break;
-    // Window end: the next global-lane event (a cross-cluster event pins
-    // the window), the conservative lookahead, and the run bound.
-    Time end = until >= kTimeMax ? kTimeMax : until + 1;
-    if (lookahead_ != kNoTime && start <= kTimeMax - lookahead_) {
-      end = std::min(end, start + lookahead_);
-    }
-    const Entry* global = peek_live(lanes_[0], /*in_window=*/false);
-    if (global != nullptr) end = std::min(end, global->time);
-    if (end <= start) {
-      // Pinned: a cross-cluster event is at the very front.  Execute
-      // serially in the legacy total order until it clears.
-      step();
-      ++pinned_steps_;
-      continue;
-    }
-    parts.clear();
-    for (std::uint32_t i = 1; i < lanes_.size(); ++i) {
-      const Entry* e = peek_live(lanes_[i], /*in_window=*/false);
-      if (e != nullptr && e->time < end) parts.push_back(i);
-    }
-    run_window(parts, end, threads);
-  }
-}
-
-void Engine::run_window(const std::vector<std::uint32_t>& parts, Time end,
-                        unsigned threads) {
-  ++windows_;
-  // Deterministic seq bands: lane i draws insertion sequences from
-  // [base + (i-1)*stride, ...), a pure function of the lane index — never
-  // of which worker runs it or when.  Advance the global counter past every
-  // band so post-window sequences stay globally larger.
-  const std::uint64_t base = next_seq_;
-  for (const std::uint32_t i : parts) {
-    lanes_[i].win_seq = base + (i - 1) * kSeqStride;
-  }
-  next_seq_ = base + (lanes_.size() - 1) * kSeqStride;
-
-  if (threads == 1 || parts.size() <= 1 || pool_ == nullptr) {
-    for (const std::uint32_t i : parts) run_lane_window(i, end);
-  } else {
-    std::atomic<std::size_t> cursor{0};
-    pool_->run([this, &parts, &cursor, end](unsigned) {
-      for (;;) {
-        const std::size_t k = cursor.fetch_add(1, std::memory_order_relaxed);
-        if (k >= parts.size()) break;
-        run_lane_window(parts[k], end);
-      }
-    });
-  }
-
-  // Barrier fold, in ascending lane order so every aggregate is
-  // deterministic.  The clock advances to the latest executed event, as in
-  // run().
-  Time max_exec = kNoTime;
-  std::exception_ptr error;
-  for (const std::uint32_t i : parts) {
-    Lane& lane = lanes_[i];
-    executed_ += lane.win_executed;
-    scheduled_ += lane.win_scheduled;
-    cancelled_ += lane.win_cancelled;
-    tombstones_ += lane.win_tombstones;
-    compactions_ += lane.win_compactions;
-    armed_ = static_cast<std::size_t>(static_cast<std::int64_t>(armed_) +
-                                      lane.win_armed_delta);
-    if (lane.win_last_exec != kNoTime)
-      max_exec = std::max(max_exec, lane.win_last_exec);
-    if (lane.error != nullptr && error == nullptr) error = lane.error;
-    lane.error = nullptr;
-  }
-  if (max_exec != kNoTime) now_ = std::max(now_, max_exec);
-  peak_pending_ = std::max(peak_pending_, armed_);
-  // Deterministic merge of the cross-cluster events deferred past the
-  // window end: ascending origin lane, then origin append order.
-  for (const std::uint32_t i : parts) {
-    Lane& lane = lanes_[i];
-    for (CrossEvent& ce : lane.outbox) {
-      schedule_from(ce.src, ce.time, ce.priority, std::move(ce.fn));
-    }
-    lane.outbox.clear();
-  }
-  if (error != nullptr) std::rethrow_exception(error);
-}
-
-void Engine::run_lane_window(std::uint32_t index, Time window_end) {
-  Lane& lane = lanes_[index];
-  lane.win_last_exec = kNoTime;
-  lane.win_executed = lane.win_scheduled = lane.win_cancelled = 0;
-  lane.win_tombstones = lane.win_compactions = 0;
-  lane.win_armed_delta = 0;
-  lane.error = nullptr;
-  ExecContext ctx{this, &lane, index, /*now=*/0, kNoSource, window_end};
-  tls_ctx_ = &ctx;
-  try {
-    for (;;) {
-      const Entry* top = peek_live(lane, /*in_window=*/true);
-      if (top == nullptr || top->time >= window_end) break;
-      const Entry e = lane.heap.front();
-      std::pop_heap(lane.heap.begin(), lane.heap.end(), Later{});
-      lane.heap.pop_back();
-      Slot& s = lane.slots[e.slot];
-      Handler fn = std::move(s.fn);
-      ctx.src = s.src;
-      s.fn = nullptr;
-      ++s.gen;
-      lane.free.push_back(e.slot);
-      --lane.win_armed_delta;
-      ++lane.win_executed;
-      ctx.now = e.time;
-      lane.win_last_exec = e.time;
-      fn();
-    }
-  } catch (...) {
-    lane.error = std::current_exception();
-  }
-  tls_ctx_ = nullptr;
-}
-
-// -- SourceScope --------------------------------------------------------------
-
-SourceScope::SourceScope(Engine& engine, SourceId src) {
-  Engine::ExecContext* c = engine.context();
-  slot_ = c != nullptr ? &c->src : &engine.ambient_src_;
-  prev_ = *slot_;
-  *slot_ = src;
-}
-
-SourceScope::~SourceScope() { *slot_ = prev_; }
 
 }  // namespace cosched

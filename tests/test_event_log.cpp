@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <vector>
 
 #include "core_test_util.h"
 
@@ -58,6 +59,30 @@ TEST(EventLog, TextRoundTrip) {
   ASSERT_EQ(back.size(), log.size());
   for (std::size_t i = 0; i < log.size(); ++i)
     EXPECT_EQ(back.events()[i], log.events()[i]);
+}
+
+TEST(EventLog, SameTimeEntriesListByDomainNotByRecordOrder) {
+  // Domain 1 records first, at t=0 and t=10; domain 0 then records at t=10
+  // and t=5.  Neither append order nor append order stably sorted by time
+  // puts domain 0's t=10 entry ahead of domain 1's.
+  EventLog log;
+  log.record(1, ev(0, "b", JobEventKind::kSubmit, 2));
+  log.record(1, ev(10, "b", JobEventKind::kStart, 2));
+  log.record(0, ev(10, "a", JobEventKind::kStart, 1));
+  log.record(0, ev(5, "a", JobEventKind::kSubmit, 1));
+  const std::vector<JobEvent> merged = log.events();
+  ASSERT_EQ(merged.size(), 4u);
+  EXPECT_EQ(merged[0], ev(0, "b", JobEventKind::kSubmit, 2));
+  EXPECT_EQ(merged[1], ev(5, "a", JobEventKind::kSubmit, 1));
+  EXPECT_EQ(merged[2], ev(10, "a", JobEventKind::kStart, 1));
+  EXPECT_EQ(merged[3], ev(10, "b", JobEventKind::kStart, 2));
+  std::ostringstream out;
+  log.write_text(out);
+  EXPECT_EQ(out.str(),
+            "0 b submit job=2 group=-1 nodes=1\n"
+            "5 a submit job=1 group=-1 nodes=1\n"
+            "10 a start job=1 group=-1 nodes=1\n"
+            "10 b start job=2 group=-1 nodes=1\n");
 }
 
 TEST(EventLog, ReadSkipsCommentsAndRejectsGarbage) {

@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <sstream>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -302,6 +304,118 @@ TEST(DeterminismGuard, PartitionChaosRunsWithSameScheduleAreBitIdentical) {
   };
   EXPECT_EQ(run_fp(3, 6 * kHour), run_fp(3, 6 * kHour));
   EXPECT_NE(run_fp(3, 6 * kHour), run_fp(5, 7 * kHour));
+}
+
+// -- event-log pin ------------------------------------------------------
+//
+// Two four-domain chaos runs (all domains linked, two pairs of mates with
+// disjoint group ids, liveness on), pinned by the FNV-1a of their event-log
+// text and their determinism fingerprint.  The values were recorded from
+// the engine that merged per-cluster heaps on every pop: any drift in the
+// same-time event order or in the log's merge order fails here.
+
+namespace pin {
+
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<std::uint8_t>(c);
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+std::vector<DomainSpec> quad_specs(SchemeCombo g0, SchemeCombo g1) {
+  auto specs = make_coupled_specs("c0", 100, "v0", 100, g0);
+  for (auto& s : make_coupled_specs("c1", 100, "v1", 100, g1))
+    specs.push_back(std::move(s));
+  for (auto& s : specs) {
+    s.policy = "fcfs";
+    s.cosched.liveness.enabled = true;
+  }
+  return specs;
+}
+
+// Per pair, `pairs` mated jobs with staggered arrivals plus local filler.
+std::vector<Trace> quad_traces(int pairs) {
+  std::vector<Trace> traces(4);
+  for (int g = 0; g < 2; ++g) {
+    Trace& a = traces[2 * g];
+    Trace& b = traces[2 * g + 1];
+    const JobId base = 10000 * (g + 1);
+    const GroupId gbase = 1000 * (g + 1);
+    for (int i = 0; i < pairs; ++i) {
+      const Time t = 60 + 240 * i + 17 * g;
+      a.add(testutil::job(base + i, t, 600 + 30 * (i % 5), 10 + 5 * (i % 4),
+                          gbase + i));
+      b.add(testutil::job(base + 1000 + i, t + 90 + 40 * (i % 3),
+                          500 + 25 * (i % 7), 8 + 4 * (i % 3), gbase + i));
+      if (i % 3 == 0) {
+        a.add(testutil::job(base + 2000 + i, t + 30, 300, 20));
+        b.add(testutil::job(base + 3000 + i, t + 50, 400, 16));
+      }
+    }
+  }
+  return traces;
+}
+
+struct Pinned {
+  std::uint64_t fingerprint = 0;
+  std::uint64_t log_hash = 0;
+  std::size_t log_events = 0;
+};
+
+Pinned finish(CoupledSim& sim, const EventLog& log, Time max_time) {
+  const SimResult r = sim.run(max_time);
+  EXPECT_TRUE(r.completed);
+  EXPECT_TRUE(r.invariants.ok());
+  std::ostringstream os;
+  log.write_text(os);
+  return Pinned{determinism_fingerprint(sim), fnv1a(os.str()), log.size()};
+}
+
+}  // namespace pin
+
+TEST(EventLogPin, PartitionChaosRunIsUnchanged) {
+  // Link drops and reply drops on every link, a symmetric partition of the
+  // first pair and a later one-way partition of the second.
+  CoupledSim sim(pin::quad_specs(kHH, kHY), pin::quad_traces(12));
+  FaultPlan plan;
+  plan.seed = 0xc0ffee;
+  plan.drop_probability = 0.05;
+  plan.reply_drop_probability = 0.05;
+  sim.set_fault_plan_all(plan);
+  sim.add_partition(0, 1, 2 * kHour, 4 * kHour);
+  sim.add_one_way_partition(3, 2, 5 * kHour, 6 * kHour);
+  const EventLog& log = sim.enable_event_log();
+  const pin::Pinned p = pin::finish(sim, log, 120 * kDay);
+  EXPECT_EQ(p.log_events, 291u);
+  EXPECT_EQ(p.log_hash, 0x5271d83355e38e47ULL);
+  EXPECT_EQ(p.fingerprint, 0x6eff5590550ec463ULL);
+}
+
+TEST(EventLogPin, LeaseExpiryCrashReplayIsUnchanged) {
+  // Domain 1 crashes for good before its mate is submitted: domain 0's
+  // leased hold must expire and turn into an unsynchronized start while the
+  // second pair keeps running.
+  std::vector<Trace> traces(4);
+  traces[0].add(testutil::job(90, 5, 60, 5));  // arms heartbeats early
+  traces[0].add(testutil::job(1, 150, 600, 10, 7));
+  traces[1].add(testutil::job(1001, 10 * kHour, 600, 10, 7));
+  for (int i = 0; i < 10; ++i) {
+    traces[2].add(testutil::job(5000 + i, 60 + 300 * i, 600, 12, 2000 + i));
+    traces[3].add(testutil::job(6000 + i, 120 + 300 * i, 500, 10, 2000 + i));
+  }
+  CoupledSim sim(pin::quad_specs(kHH, kHH), traces);
+  sim.schedule_domain_crash(1, 30, /*restart_at=*/0);
+  const EventLog& log = sim.enable_event_log();
+  const pin::Pinned p = pin::finish(sim, log, 30 * kDay);
+  EXPECT_GE(sim.cluster(0).lease_grants(), 1u);
+  EXPECT_GE(sim.cluster(0).lease_expiries(), 1u);
+  EXPECT_GE(sim.cluster(0).unsync_starts(), 1u);
+  EXPECT_EQ(p.log_events, 120u);
+  EXPECT_EQ(p.log_hash, 0x5291f06ed0a216c8ULL);
+  EXPECT_EQ(p.fingerprint, 0x1bac38df1f4e9c29ULL);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -129,7 +129,6 @@ struct BraceInfo {
   enum Kind { kNamespace, kClass, kEnum, kFunction, kOther } kind = kOther;
   std::string name;  // class/enum/function name
   std::string cls;   // explicit A::B qualifier on a function definition
-  bool requires_lock = false;
   int name_line = 0;
 };
 
@@ -199,7 +198,6 @@ BraceInfo classify_brace(const std::vector<Token>& toks, std::size_t t) {
     if (before.kind != Token::kIdent) break;
     if (is_annotation_macro(before.text) || before.text == "noexcept" ||
         before.text == "decltype") {
-      if (before.text == "REQUIRES") info.requires_lock = true;
       i = open - 1;
       continue;
     }
@@ -271,135 +269,6 @@ struct Scope {
   std::size_t open = 0;
   int func = -1;  // index into index.functions for kFunction scopes
 };
-
-std::string ident_before_col(const std::string& code, std::size_t pos) {
-  std::size_t b = pos;
-  while (b > 0 && is_ident_char(code[b - 1])) --b;
-  return code.substr(b, pos - b);
-}
-
-/// Column where a worker dispatch starts on this line, or npos: raw
-/// std::thread construction, `<pool>.run(` / `->run(`, and
-/// `<threads>.emplace_back(`/`.push_back(` thread-vector fills.
-std::size_t worker_dispatch_col(const std::string& code) {
-  const std::size_t t = code.find("std::thread(");
-  if (t != std::string::npos) return t;
-  struct Pat {
-    const char* pat;
-    const char* recv_hint;
-  };
-  static const Pat kPats[] = {{"->run(", "pool"},
-                              {".run(", "pool"},
-                              {".emplace_back(", "thread"},
-                              {".push_back(", "thread"}};
-  for (const Pat& p : kPats) {
-    std::size_t pos = 0;
-    while ((pos = code.find(p.pat, pos)) != std::string::npos) {
-      std::string recv = ident_before_col(code, pos);
-      std::transform(recv.begin(), recv.end(), recv.begin(),
-                     [](unsigned char c) { return std::tolower(c); });
-      if (recv.find(p.recv_hint) != std::string::npos) return pos;
-      pos += 1;
-    }
-  }
-  return std::string::npos;
-}
-
-/// Parses call sites out of one unguarded lambda-body slice.
-void collect_slice_calls(const std::string& body, int line,
-                         std::vector<CallSite>& out) {
-  for (std::size_t i = 0; i < body.size();) {
-    if (!is_ident_char(body[i])) {
-      ++i;
-      continue;
-    }
-    const std::size_t b = i;
-    while (i < body.size() && is_ident_char(body[i])) ++i;
-    const std::string name = body.substr(b, i - b);
-    std::size_t j = i;
-    while (j < body.size() && is_space(body[j])) ++j;
-    if (j >= body.size() || body[j] != '(') continue;
-    if (is_keyword(name) || is_digit(name[0])) continue;
-    CallSite c;
-    c.name = name;
-    c.line = line;
-    if (b >= 1 && body[b - 1] == '.')
-      c.receiver = ident_before_col(body, b - 1);
-    else if (b >= 2 && body[b - 2] == '-' && body[b - 1] == '>')
-      c.receiver = ident_before_col(body, b - 2);
-    out.push_back(std::move(c));
-  }
-}
-
-/// Walks the first lambda body after each dispatch site, slicing it line by
-/// line with the v1 sticky guarded flag, and collecting unguarded calls as
-/// interprocedural seeds.
-void collect_pool_lambdas(const std::vector<std::string>& code, int file,
-                          std::vector<PoolLambda>& out) {
-  for (std::size_t i = 0; i < code.size(); ++i) {
-    const std::size_t dispatch = worker_dispatch_col(code[i]);
-    if (dispatch == std::string::npos) continue;
-
-    std::size_t line = i, col = dispatch;
-    bool found_lambda = false;
-    for (; line < code.size() && line < i + 4 && !found_lambda; ++line) {
-      const std::size_t l = code[line].find('[', col);
-      if (l != std::string::npos) {
-        col = l;
-        found_lambda = true;
-        break;
-      }
-      col = 0;
-    }
-    if (!found_lambda) continue;
-
-    PoolLambda lam;
-    lam.file = file;
-    lam.line = static_cast<int>(i + 1);
-
-    int depth = 0;
-    bool body_entered = false;
-    bool guarded = false;
-    for (std::size_t j = line; j < code.size(); ++j) {
-      const std::string& c = code[j];
-      const std::size_t from = (j == line) ? col : 0;
-      const bool was_in_body = body_entered;
-      std::size_t open_col = std::string::npos;
-      std::size_t close_col = std::string::npos;
-      for (std::size_t k = from; k < c.size(); ++k) {
-        if (c[k] == '{') {
-          ++depth;
-          if (!body_entered) {
-            body_entered = true;
-            open_col = k;
-          }
-        }
-        if (c[k] == '}' && --depth == 0) {
-          close_col = k;
-          break;
-        }
-      }
-      if (body_entered) {
-        const std::size_t b = was_in_body ? 0 : open_col + 1;
-        const std::size_t e =
-            close_col == std::string::npos ? c.size() : close_col;
-        const std::string body = c.substr(b, e - b);
-        if (body.find("MutexLock") != std::string::npos ||
-            body.find("REQUIRES(") != std::string::npos)
-          guarded = true;
-        PoolLambda::Slice slice;
-        slice.line = static_cast<int>(j + 1);
-        slice.body = body;
-        slice.guarded = guarded;
-        if (!guarded)
-          collect_slice_calls(body, slice.line, lam.calls);
-        lam.slices.push_back(std::move(slice));
-      }
-      if (close_col != std::string::npos) break;
-    }
-    out.push_back(std::move(lam));
-  }
-}
 
 void scan_container_decls(const std::vector<std::string>& code,
                           const char* const* types, std::size_t n_types,
@@ -515,13 +384,9 @@ void extract_file(ProjectIndex& index, int file) {
         f.line = info.name_line;
         f.body_first_line = tok.line;
         f.body_begin = t;
-        f.requires_lock = info.requires_lock;
         index.functions.push_back(std::move(f));
         s.func = static_cast<int>(index.functions.size() - 1);
         open_blocks.push_back(t);
-        if (info.requires_lock)
-          index.requires_annotated.insert(
-              index.functions.back().qualified());
       } else if (info.kind == BraceInfo::kClass) {
         s.name = info.name;
       } else if (info.kind == BraceInfo::kEnum) {
@@ -586,7 +451,6 @@ void extract_file(ProjectIndex& index, int file) {
               toks[open - 3].kind == Token::kIdent)
             cls = toks[open - 3].text;
           const std::string q = cls.empty() ? name : cls + "::" + name;
-          index.requires_annotated.insert(q);
           if (!mutex.empty()) {
             const std::string qm =
                 (mutex.find(':') == std::string::npos &&
@@ -598,17 +462,6 @@ void extract_file(ProjectIndex& index, int file) {
           }
         }
       }
-    }
-
-    // thread_local declarations: worker-own state, exempt from lane purity.
-    if (tok.kind == Token::kIdent && tok.text == "thread_local") {
-      std::string name;
-      for (std::size_t j = t + 1; j < toks.size(); ++j) {
-        const std::string& x = toks[j].text;
-        if (x == ";" || x == "=" || x == "{") break;
-        if (toks[j].kind == Token::kIdent) name = x;
-      }
-      if (!name.empty()) index.thread_locals.insert(name);
     }
 
     if (fn < 0) continue;
@@ -731,7 +584,6 @@ void extract_file(ProjectIndex& index, int file) {
           m.member = tok.text;
           m.line = tok.line;
           m.token = t;
-          m.via_method = via_method;
           f.mutations.push_back(std::move(m));
         }
       }
@@ -761,19 +613,6 @@ void finish_case_arms(ProjectIndex& index) {
     for (std::size_t i = 0; i < f.cases.size(); ++i) {
       f.cases[i].arm_end =
           (i + 1 < f.cases.size()) ? f.cases[i + 1].token : f.body_end;
-    }
-  }
-}
-
-void attach_lambda_functions(ProjectIndex& index) {
-  for (PoolLambda& lam : index.pool_lambdas) {
-    for (std::size_t i = 0; i < index.functions.size(); ++i) {
-      const FunctionInfo& f = index.functions[i];
-      if (f.file == lam.file && f.body_first_line <= lam.line &&
-          lam.line <= f.body_last_line) {
-        lam.func = static_cast<int>(i);
-        break;
-      }
     }
   }
 }
@@ -846,11 +685,8 @@ ProjectIndex build_index(const std::vector<SourceFile>& files) {
 
   for (std::size_t i = 0; i < files.size(); ++i) {
     extract_file(index, static_cast<int>(i));
-    collect_pool_lambdas(index.file_model[i].code, static_cast<int>(i),
-                         index.pool_lambdas);
   }
   finish_case_arms(index);
-  attach_lambda_functions(index);
 
   for (std::size_t i = 0; i < index.functions.size(); ++i)
     index.functions_by_name.emplace(index.functions[i].name,

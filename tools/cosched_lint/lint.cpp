@@ -332,13 +332,6 @@ void rule_dedup_before_reply(const FileContext& ctx, RuleSink& sink) {
   }
 }
 
-/// Identifier ending right before `pos` (walking back over ident chars).
-std::string ident_before(const std::string& code, std::size_t pos) {
-  std::size_t b = pos;
-  while (b > 0 && is_ident_char(code[b - 1])) --b;
-  return code.substr(b, pos - b);
-}
-
 std::string json_escape(const std::string& s) {
   std::string out;
   out.reserve(s.size() + 8);
@@ -416,48 +409,6 @@ void RuleSink::emit(int file, int line0, const std::string& rule,
   }
 }
 
-std::string member_mutation(const std::string& code) {
-  for (std::size_t i = 0; i < code.size(); ++i) {
-    if (!is_ident_char(code[i])) continue;
-    const std::size_t b = i;
-    while (i < code.size() && is_ident_char(code[i])) ++i;
-    if (code[i - 1] != '_') continue;
-    const std::string name = code.substr(b, i - b);
-    if (b > 0 && code[b - 1] == '.') continue;
-    if (b >= 2 && code[b - 1] == '>' && code[b - 2] == '-' &&
-        ident_before(code, b - 2) != "this")
-      continue;
-    if (b >= 2 && ((code[b - 2] == '+' && code[b - 1] == '+') ||
-                   (code[b - 2] == '-' && code[b - 1] == '-')))
-      return name;
-    std::size_t j = i;
-    // One subscript is still a write to the member's element.
-    if (j < code.size() && code[j] == '[') {
-      int depth = 0;
-      for (; j < code.size(); ++j) {
-        if (code[j] == '[') ++depth;
-        if (code[j] == ']' && --depth == 0) {
-          ++j;
-          break;
-        }
-      }
-    }
-    while (j < code.size() &&
-           std::isspace(static_cast<unsigned char>(code[j])) != 0)
-      ++j;
-    if (j + 1 < code.size()) {
-      const char a = code[j], bb = code[j + 1];
-      if ((a == '+' && bb == '=') || (a == '-' && bb == '=') ||
-          (a == '+' && bb == '+') || (a == '-' && bb == '-'))
-        return name;
-      if (a == '=' && bb != '=') return name;
-    } else if (j < code.size() && code[j] == '=') {
-      return name;
-    }
-  }
-  return "";
-}
-
 std::vector<std::string> split_lines(const std::string& contents) {
   std::vector<std::string> lines;
   std::string cur;
@@ -508,7 +459,6 @@ Report run_lint(const std::vector<SourceFile>& files) {
   rule_journal_coverage(index, sink);
   rule_dispatch_exhaustiveness(index, sink);
   rule_lock_order(index, sink);
-  rule_lane_purity(index, sink);
 
   for (const WaiverRecord& w : waivers) {
     if (w.used) continue;
@@ -581,10 +531,9 @@ std::string to_json(const Report& r) {
   // CI tables have fixed rows run over run.
   static const char* kKnownRules[] = {
       "banned-call",          "dedup-before-reply",
-      "dispatch-exhaustiveness", "engine-shared-state",
-      "journal-before-mutate", "journal-coverage",
-      "lease-journal",        "lock-order",
-      "unordered-iter",
+      "dispatch-exhaustiveness", "journal-before-mutate",
+      "journal-coverage",     "lease-journal",
+      "lock-order",           "unordered-iter",
   };
   std::map<std::string, std::pair<int, int>> rules;  // rule -> (findings, waived)
   for (const char* k : kKnownRules) rules[k] = {0, 0};

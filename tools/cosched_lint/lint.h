@@ -3,7 +3,7 @@
 // v2: every file is parsed once by a lightweight tokenizer into a shared
 // project index (index.h) — functions, enums, case arms, lock sites,
 // annotations — and the rules run over that index.  The per-line rules keep
-// their v1 behavior; four cross-file analyses walk the whole-project model.
+// their v1 behavior; three cross-file analyses walk the whole-project model.
 // The rules enforce the invariants the runtime defenses (TSan, invariant
 // reports, kill-anywhere recovery) only catch when a test happens to hit
 // them:
@@ -31,17 +31,6 @@
 //                          waiver — hash order leaking into fingerprints,
 //                          metrics, or wire output is the classic silent
 //                          determinism bug
-//   engine-shared-state    no mutation of `_`-suffixed members (implicit
-//                          this-> state) from a worker-pool lambda
-//                          (`<pool>.run(...)` / std::thread) outside a
-//                          MutexLock/REQUIRES-guarded section — parallel-
-//                          window workers may only touch their own lane;
-//                          shared counters belong in the post-barrier fold.
-//                          v2 makes this interprocedural: unguarded member
-//                          mutations in any function *reachable* from the
-//                          lambda are flagged too (REQUIRES-annotated
-//                          callees, thread_local members, and MutexLock-
-//                          guarded writes are exempt)
 //   journal-coverage       every JournalRecordKind enumerator has a writer
 //                          site (append/frame/encode_frame), a replay arm in
 //                          the journal apply switch (apply_record, recover_

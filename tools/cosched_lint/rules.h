@@ -32,15 +32,9 @@ struct RuleSink {
             bool accepts_ordered);
 };
 
-/// First `_`-suffixed identifier on `code` mutated with =, +=, -=, ++ or --
-/// (an implicit this-> member write), or "" when none (v1 helper, shared by
-/// the lane-purity rule's lambda slices).
-std::string member_mutation(const std::string& code);
-
-// The four cross-file analyses.
+// The three cross-file analyses.
 void rule_journal_coverage(const ProjectIndex& index, RuleSink& sink);
 void rule_dispatch_exhaustiveness(const ProjectIndex& index, RuleSink& sink);
 void rule_lock_order(const ProjectIndex& index, RuleSink& sink);
-void rule_lane_purity(const ProjectIndex& index, RuleSink& sink);
 
 }  // namespace cosched::lint
