@@ -1,6 +1,8 @@
 // Shared builders for core coscheduling tests.
 #pragma once
 
+#include <cstdint>
+
 #include "core/coupled_sim.h"
 #include "workload/trace.h"
 
@@ -34,6 +36,18 @@ inline RuntimeJob find_job(CoupledSim& sim, std::size_t domain, JobId id) {
   const auto j = sim.cluster(domain).scheduler().lookup(id);
   if (!j) throw Error("test: job not found");
   return *j;
+}
+
+/// FNV-1a over a byte string: the pins of journal, snapshot and event-log
+/// bytes.  `Bytes` is any range of char or std::uint8_t.
+template <typename Bytes>
+std::uint64_t fnv1a(const Bytes& bytes) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const auto b : bytes) {
+    h ^= static_cast<std::uint8_t>(b);
+    h *= 1099511628211ULL;
+  }
+  return h;
 }
 
 }  // namespace cosched::testutil

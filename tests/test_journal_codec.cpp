@@ -18,6 +18,7 @@
 namespace cosched {
 namespace {
 
+using testutil::fnv1a;
 using testutil::two_domains;
 
 std::span<const std::uint8_t> bytes_of(const std::string& s) {
@@ -28,15 +29,6 @@ std::vector<std::uint8_t> payload_of(std::initializer_list<int> bytes) {
   std::vector<std::uint8_t> p;
   for (int b : bytes) p.push_back(static_cast<std::uint8_t>(b));
   return p;
-}
-
-std::uint64_t fnv1a(std::span<const std::uint8_t> bytes) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (std::uint8_t b : bytes) {
-    h ^= b;
-    h *= 1099511628211ULL;
-  }
-  return h;
 }
 
 // -- CRC-32 ---------------------------------------------------------------

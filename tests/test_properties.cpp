@@ -220,6 +220,9 @@ TEST(DeterminismGuard, FixedSeedResultsMatchPreOptimizationFingerprints) {
         << "simulation results diverged from the pre-optimization "
            "implementation for combo "
         << p.combo.label;
+    EXPECT_EQ(determinism_fingerprint(sim), determinism::fingerprint(sim))
+        << "the library fingerprint drifted from this reference, combo "
+        << p.combo.label;
   }
 }
 
@@ -316,15 +319,6 @@ TEST(DeterminismGuard, PartitionChaosRunsWithSameScheduleAreBitIdentical) {
 
 namespace pin {
 
-std::uint64_t fnv1a(const std::string& bytes) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const char c : bytes) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
 std::vector<DomainSpec> quad_specs(SchemeCombo g0, SchemeCombo g1) {
   auto specs = make_coupled_specs("c0", 100, "v0", 100, g0);
   for (auto& s : make_coupled_specs("c1", 100, "v1", 100, g1))
@@ -371,7 +365,8 @@ Pinned finish(CoupledSim& sim, const EventLog& log, Time max_time) {
   EXPECT_TRUE(r.invariants.ok());
   std::ostringstream os;
   log.write_text(os);
-  return Pinned{determinism_fingerprint(sim), fnv1a(os.str()), log.size()};
+  return Pinned{determinism_fingerprint(sim), testutil::fnv1a(os.str()),
+                log.size()};
 }
 
 }  // namespace pin
@@ -439,6 +434,14 @@ struct EnhanceParam {
   std::uint64_t seed;
 };
 
+std::string enhance_name(const ::testing::TestParamInfo<EnhanceParam>& info) {
+  const auto& p = info.param;
+  return "holdfrac" + std::to_string(std::lround(p.max_hold_fraction * 100)) +
+         "_maxyield" + std::to_string(p.max_yield_before_hold) + "_boost" +
+         std::to_string(std::lround(p.yield_boost)) + "_seed" +
+         std::to_string(p.seed);
+}
+
 class EnhancementSweep : public ::testing::TestWithParam<EnhanceParam> {};
 
 TEST_P(EnhancementSweep, GuaranteeHoldsUnderThresholds) {
@@ -481,7 +484,8 @@ INSTANTIATE_TEST_SUITE_P(
                       EnhanceParam{0.2, 0, 0.0, 3},
                       EnhanceParam{1.0, 3, 0.0, 4},
                       EnhanceParam{1.0, 0, 10.0, 5},
-                      EnhanceParam{0.5, 5, 5.0, 6}));
+                      EnhanceParam{0.5, 5, 5.0, 6}),
+    enhance_name);
 
 }  // namespace
 }  // namespace cosched
